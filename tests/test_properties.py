@@ -1,0 +1,156 @@
+"""Property-based checks: mass conservation and the equivalence of the two
+step paths over random small grids, and fuzzing of the table reader.
+
+Examples are derandomized and bounded so the suite stays fast and repeatable.
+"""
+
+from __future__ import annotations
+
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from swarmherd import (
+    EnvConfig,
+    HerdingEnv,
+    QTable,
+    TransitionRates,
+    apply_leader_action,
+    empirical_distribution,
+    make_grid,
+    mean_field_step,
+    mse,
+    reward,
+    step_dtmc,
+)
+from swarmherd.environment import BACKENDS
+from swarmherd.errors import QTableFormatError
+from swarmherd.learner import _HEADER, FORMAT_VERSION, MAGIC, load_qtable, save_qtable
+
+SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+FUZZ = settings(SETTINGS, max_examples=200)
+
+
+def _simplex(draw, m: int) -> tuple[float, ...]:
+    weights = draw(st.lists(st.integers(0, 20), min_size=m, max_size=m).filter(any))
+    total = sum(weights)
+    return tuple(w / total for w in weights)
+
+
+@st.composite
+def env_configs(draw) -> EnvConfig:
+    """Grids from 1x2 to 2x3, either backend, any valid rate."""
+    rows = draw(st.integers(1, 2))
+    cols = draw(st.integers(2 if rows == 1 else 1, 3))
+    m = rows * cols
+    max_degree = min(2, rows - 1) + min(2, cols - 1)
+    return EnvConfig(
+        rows=rows,
+        cols=cols,
+        num_agents=draw(st.integers(1, 200)),
+        beta=draw(st.floats(0.01, 0.99 / max_degree)),
+        bins=draw(st.integers(1, 10)),
+        mu=1e-6,
+        initial_dist=_simplex(draw, m),
+        target_dist=_simplex(draw, m),
+        backend=draw(st.sampled_from(BACKENDS)),
+    )
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+# Each entry picks one of the actions valid where the leader stands.
+CHOICES = st.lists(st.integers(0, 4), min_size=1, max_size=60)
+
+
+@SETTINGS
+@given(cfg=env_configs(), seed=SEEDS, choices=CHOICES)
+def test_step_conserves_mass(cfg, seed, choices):
+    env = HerdingEnv(cfg)
+    rng = np.random.default_rng(seed)
+    followers, leader = env.reset(rng)
+    for c in choices:
+        acts = env.actions[leader.vertex]
+        followers, leader, r, _ = env.step(followers, leader, acts[c % len(acts)], rng)
+        assert r <= 0.0
+        if cfg.backend == "dtmc":
+            assert followers.dtype == np.int64
+            assert followers.min() >= 0 and int(followers.sum()) == cfg.num_agents
+        else:
+            assert followers.min() >= 0.0 and abs(float(followers.sum()) - 1.0) <= 1e-12
+
+
+@SETTINGS
+@given(cfg=env_configs(), seed=SEEDS, choices=CHOICES)
+def test_step_matches_free_functions(cfg, seed, choices):
+    env = HerdingEnv(cfg)
+    g = make_grid(cfg.rows, cfg.cols)
+    rates = TransitionRates.uniform(g, cfg.beta)
+    rng_a = np.random.default_rng(seed)
+    rng_b = np.random.default_rng(seed)
+    followers_a, leader_a = env.reset(rng_a)
+    followers_b, leader_b = env.reset(rng_b)
+    for c in choices:
+        action = env.actions[leader_a.vertex][c % len(env.actions[leader_a.vertex])]
+        followers_a, leader_a, r_a, t_a = env.step(followers_a, leader_a, action, rng_a)
+        leader_b = apply_leader_action(g, leader_b, action)
+        if cfg.backend == "dtmc":
+            followers_b = step_dtmc(g, rates, leader_b, followers_b, rng_b)
+            dist = empirical_distribution(followers_b)
+        else:
+            followers_b = mean_field_step(g, rates, leader_b, followers_b)
+            dist = followers_b
+        assert followers_a.dtype == followers_b.dtype
+        assert followers_a.tobytes() == followers_b.tobytes()
+        assert leader_a == leader_b
+        assert r_a == reward(dist, env.target)
+        assert t_a == (mse(dist, env.target) < cfg.mu)
+    assert rng_a.random() == rng_b.random()
+
+
+@pytest.fixture(scope="module")
+def table_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "table.swhq"
+
+
+@pytest.fixture(scope="module")
+def valid_table(table_file) -> bytes:
+    q = QTable.zeros(2, 1, 2)
+    q.values[:] = np.random.default_rng(0).normal(size=q.values.shape)
+    save_qtable(q, table_file)
+    return table_file.read_bytes()
+
+
+def _load_or_typed_error(path, data: bytes) -> None:
+    path.write_bytes(data)
+    try:
+        table = load_qtable(path)
+    except QTableFormatError:
+        return
+    assert table.values.shape == (table.state_count, table.num_actions)
+
+
+@FUZZ
+@given(
+    prefix=st.sampled_from([b"", MAGIC, MAGIC + struct.pack("<I", FORMAT_VERSION)]),
+    body=st.binary(max_size=96),
+)
+def test_load_random_bytes_raises_only_format_errors(table_file, prefix, body):
+    _load_or_typed_error(table_file, prefix + body)
+
+
+@FUZZ
+@given(
+    edits=st.lists(
+        st.tuples(st.integers(0, _HEADER.size + 15), st.integers(0, 255)), max_size=6
+    ),
+    cut=st.one_of(st.none(), st.integers(0, 800)),
+    tail=st.binary(max_size=16),
+)
+def test_load_mutated_table_raises_only_format_errors(table_file, valid_table, edits, cut, tail):
+    data = bytearray(valid_table)
+    for pos, value in edits:
+        data[pos] = value
+    _load_or_typed_error(table_file, bytes(data[:cut]) + tail)
