@@ -68,9 +68,6 @@ class TransitionRates:
             per_vertex.append(row)
         return cls(tuple(per_vertex))
 
-    def stay_probability(self, v: int) -> float:
-        return 1.0 - sum(self.per_vertex[v])
-
 
 def follower_transition_probs(
     g: Graph, rates: TransitionRates, leader: LeaderState, v: int
@@ -93,6 +90,36 @@ def follower_transition_probs(
     return probs
 
 
+def repel_counts(
+    counts: np.ndarray, v: int, nbrs: tuple[int, ...], probs: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Counts after a leader repels at v: counts[v] split by one multinomial draw.
+
+    ``probs`` holds the (sorted neighbors ``nbrs``, stay) shares of
+    :func:`follower_transition_probs`. The draw is taken even when
+    counts[v] == 0, so stream consumption depends only on the leader trajectory.
+    """
+    draw = rng.multinomial(int(counts[v]), probs)
+    out = counts.copy()
+    out[v] = draw[-1]
+    for i, t in enumerate(nbrs):
+        out[t] += draw[i]
+    return out
+
+
+def repel_density(
+    density: np.ndarray, v: int, nbrs: tuple[int, ...], probs: np.ndarray
+) -> np.ndarray:
+    """Density after a leader repels at v: a ``probs[i]`` share of density[v]
+    flows to ``nbrs[i]`` and the stay share ``probs[-1]`` remains."""
+    mass = density[v]
+    out = density.copy()
+    for i, t in enumerate(nbrs):
+        out[t] += probs[i] * mass
+    out[v] = probs[-1] * mass
+    return out
+
+
 def step_dtmc(
     g: Graph,
     rates: TransitionRates,
@@ -103,24 +130,17 @@ def step_dtmc(
     """Advance the agent-count state by one iteration.
 
     When the leader repels at vertex v, the counts[v] agents are split by a
-    single multinomial draw over (sorted neighbors of v, stay); this is a
-    sequence of binomial draws in canonical category order, so results are
-    reproducible for a seeded stream. The draw is taken even when
-    counts[v] == 0 so stream consumption depends only on the leader
-    trajectory. Total agent count is conserved exactly, and only the
+    single multinomial draw (:func:`repel_counts`); this is a sequence of
+    binomial draws in canonical category order, so results are reproducible
+    for a seeded stream. Total agent count is conserved exactly, and only the
     leader's vertex and its out-neighbors can change.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    out = counts.copy()
     if leader.flag != 1:
-        return out
+        return counts.copy()
     v = leader.vertex
     probs = follower_transition_probs(g, rates, leader, v)
-    draw = rng.multinomial(int(counts[v]), probs)
-    out[v] = draw[-1]
-    for i, t in enumerate(g.neighbors[v]):
-        out[t] += draw[i]
-    return out
+    return repel_counts(counts, v, g.neighbors[v], probs, rng)
 
 
 def assert_simplex(density: np.ndarray, atol: float = SIMPLEX_ATOL) -> None:
@@ -138,21 +158,16 @@ def mean_field_step(
 
     The large-population limit of :func:`step_dtmc`: with a repelling leader
     at v, ``rate * density[v]`` flows along each outgoing non-self edge and
-    the remainder stays at v; every other vertex keeps its mass. Total mass
-    and non-negativity are preserved.
+    the remainder stays at v (:func:`repel_density`); every other vertex
+    keeps its mass. Total mass and non-negativity are preserved.
     """
     density = np.asarray(density, dtype=np.float64)
     assert_simplex(density)
-    out = density.copy()
     if leader.flag != 1:
-        return out
+        return density.copy()
     v = leader.vertex
-    mass = density[v]
-    row = rates.per_vertex[v]
-    for i, t in enumerate(g.neighbors[v]):
-        out[t] += row[i] * mass
-    out[v] = (1.0 - sum(row)) * mass
-    return out
+    probs = follower_transition_probs(g, rates, leader, v)
+    return repel_density(density, v, g.neighbors[v], probs)
 
 
 def empirical_distribution(counts: np.ndarray) -> np.ndarray:

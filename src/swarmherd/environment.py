@@ -24,7 +24,8 @@ from .dynamics import (
     LeaderState,
     TransitionRates,
     follower_transition_probs,
-    mean_field_step,
+    repel_counts,
+    repel_density,
 )
 from .errors import ConfigError, EncodingError, InvalidActionError
 from .graph import Graph, make_grid
@@ -260,8 +261,8 @@ class HerdingEnv:
             {a: apply_leader_action(self.graph, LeaderState(v, 0), a) for a in self.actions[v]}
             for v in range(m)
         )
-        # Outflow categories per vertex, identical to follower_transition_probs
-        # under a repelling leader so both stepping paths share one multinomial.
+        # Outflow categories per vertex under a repelling leader, as
+        # step_dtmc and mean_field_step compute them, for the repel kernels.
         self._repel_probs = tuple(
             follower_transition_probs(self.graph, self.rates, LeaderState(v, 1), v)
             for v in range(m)
@@ -303,14 +304,11 @@ class HerdingEnv:
             ) from None
         if leader.flag == 1:
             v = leader.vertex
+            nbrs, probs = self.graph.neighbors[v], self._repel_probs[v]
             if self._counts_backend:
-                draw = rng.multinomial(int(followers[v]), self._repel_probs[v])
-                followers = followers.copy()
-                followers[v] = draw[-1]
-                for i, t in enumerate(self.graph.neighbors[v]):
-                    followers[t] += draw[i]
+                followers = repel_counts(followers, v, nbrs, probs, rng)
             else:
-                followers = mean_field_step(self.graph, self.rates, leader, followers)
+                followers = repel_density(followers, v, nbrs, probs)
         else:
             followers = followers.copy()
         current = followers / self.cfg.num_agents if self._counts_backend else followers

@@ -112,17 +112,10 @@ def train(cfg: TrainConfig) -> TrainResult:
     env = HerdingEnv(cfg.env)
     table = QTable.zeros(cfg.env.bins, cfg.env.rows, cfg.env.cols)
     rng = np.random.default_rng(cfg.seed)
-    if cfg.learner.algorithm == "sarsa":
-        stats = _train_sarsa(env, table, cfg, rng)
-    else:
-        stats = _train_qlearning(env, table, cfg, rng)
-    return TrainResult(table, stats)
-
-
-def _train_sarsa(env, table, cfg, rng) -> list[EpisodeStats]:
     values = table.values
     alpha = cfg.learner.alpha
     gamma = cfg.learner.gamma
+    sarsa = cfg.learner.algorithm == "sarsa"
     max_iters = cfg.max_iters_per_episode
     actions = env.actions
     stats = []
@@ -135,53 +128,30 @@ def _train_sarsa(env, table, cfg, rng) -> list[EpisodeStats]:
             stats.append(EpisodeStats(episode, 0, 0.0))
             continue
         s = env.state_index(followers, leader.vertex)
-        a = select_action_index(values, s, actions[leader.vertex], epsilon, rng)
-        for t in range(1, max_iters + 1):
-            followers, leader, r, terminal = env.step(followers, leader, a, rng)
-            total += r
-            length = t
-            if terminal:
-                values[s, a] += alpha * (r - values[s, a])
-                break
-            s2 = env.state_index(followers, leader.vertex)
-            a2 = select_action_index(values, s2, actions[leader.vertex], epsilon, rng)
-            values[s, a] += alpha * (r + gamma * values[s2, a2] - values[s, a])
-            s, a = s2, a2
-        stats.append(EpisodeStats(episode, length, total))
-    return stats
-
-
-def _train_qlearning(env, table, cfg, rng) -> list[EpisodeStats]:
-    values = table.values
-    alpha = cfg.learner.alpha
-    gamma = cfg.learner.gamma
-    max_iters = cfg.max_iters_per_episode
-    actions = env.actions
-    stats = []
-    for episode in range(cfg.episodes):
-        epsilon = cfg.learner.episode_epsilon(episode, cfg.episodes)
-        followers, leader = env.reset(rng)
-        total = 0.0
-        length = 0
-        if env.mse_to_target(followers) < cfg.env.mu:
-            stats.append(EpisodeStats(episode, 0, 0.0))
-            continue
-        s = env.state_index(followers, leader.vertex)
-        for t in range(1, max_iters + 1):
+        if sarsa:
             a = select_action_index(values, s, actions[leader.vertex], epsilon, rng)
+        for t in range(1, max_iters + 1):
+            if not sarsa:
+                a = select_action_index(values, s, actions[leader.vertex], epsilon, rng)
             followers, leader, r, terminal = env.step(followers, leader, a, rng)
             total += r
             length = t
+            target = r
+            if not terminal:
+                s2 = env.state_index(followers, leader.vertex)
+                if sarsa:
+                    a2 = select_action_index(values, s2, actions[leader.vertex], epsilon, rng)
+                    target += gamma * values[s2, a2]
+                else:
+                    target += gamma * max_action_value(values, s2, actions[leader.vertex])
+            values[s, a] += alpha * (target - values[s, a])
             if terminal:
-                values[s, a] += alpha * (r - values[s, a])
                 break
-            s2 = env.state_index(followers, leader.vertex)
-            values[s, a] += alpha * (
-                r + gamma * max_action_value(values, s2, actions[leader.vertex]) - values[s, a]
-            )
             s = s2
+            if sarsa:
+                a = a2
         stats.append(EpisodeStats(episode, length, total))
-    return stats
+    return TrainResult(table, stats)
 
 
 def check_compatible(table: QTable, env_cfg: EnvConfig) -> None:
