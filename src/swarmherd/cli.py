@@ -46,6 +46,7 @@ from .harness import (
     train,
 )
 from .learner import (
+    FORMAT_VERSION,
     LearnerConfig,
     load_qtable,
     save_qtable,
@@ -440,6 +441,8 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     seed = cfg["train"]["seed"] if args.seed is None else args.seed
     env_cfg = build_env_config(cfg, backend=args.backend)
+    if not 0.0 <= args.epsilon_eval <= 1.0:
+        raise ConfigError(f"epsilon_eval={args.epsilon_eval} outside [0, 1]")
     table = None
     if args.policy == "greedy":
         if args.table is None:
@@ -546,7 +549,7 @@ def cmd_inspect(args) -> int:
     table = load_qtable(args.table)
     values = table.values
     nonzero = int(np.count_nonzero(values))
-    print(f"magic: SWHQ  version: 1")
+    print(f"magic: SWHQ  version: {FORMAT_VERSION}")
     print(
         f"grid: {table.rows}x{table.cols}  vertices: {table.num_vertices}  "
         f"bins: {table.bins}  actions: {table.num_actions}"

@@ -79,14 +79,10 @@ def follower_transition_probs(
     other leader configuration all mass stays. The returned vector sums to
     exactly 1.
     """
-    nbrs = out_neighbors(g, v)
-    probs = np.zeros(len(nbrs) + 1)
-    if leader.vertex == v and leader.flag == 1:
-        row = rates.per_vertex[v]
-        probs[: len(nbrs)] = row
-        probs[len(nbrs)] = 1.0 - sum(row)
-    else:
-        probs[len(nbrs)] = 1.0
+    probs = np.zeros(len(out_neighbors(g, v)) + 1)
+    row = rates.per_vertex[v] if leader.vertex == v and leader.flag == 1 else ()
+    probs[: len(row)] = row
+    probs[-1] = 1.0 - sum(row)
     return probs
 
 
@@ -159,7 +155,8 @@ def mean_field_step(
     The large-population limit of :func:`step_dtmc`: with a repelling leader
     at v, ``rate * density[v]`` flows along each outgoing non-self edge and
     the remainder stays at v (:func:`repel_density`); every other vertex
-    keeps its mass. Total mass and non-negativity are preserved.
+    keeps its mass. Total mass and non-negativity are preserved. The input is
+    checked with :func:`assert_simplex`; ``HerdingEnv.step`` skips this wrapper.
     """
     density = np.asarray(density, dtype=np.float64)
     assert_simplex(density)

@@ -261,8 +261,7 @@ class HerdingEnv:
             {a: apply_leader_action(self.graph, LeaderState(v, 0), a) for a in self.actions[v]}
             for v in range(m)
         )
-        # Outflow categories per vertex under a repelling leader, as
-        # step_dtmc and mean_field_step compute them, for the repel kernels.
+        # Per-vertex repel categories, as step_dtmc and mean_field_step use them.
         self._repel_probs = tuple(
             follower_transition_probs(self.graph, self.rates, LeaderState(v, 1), v)
             for v in range(m)
@@ -294,13 +293,15 @@ class HerdingEnv:
 
         Returns (followers', leader', reward, terminal). The reward is the
         negative squared distance of the post-step distribution from the
-        target; terminal once its per-vertex mean drops below mu.
+        target; terminal once its per-vertex mean drops below mu. Densities
+        skip the simplex check of ``mean_field_step``: they come only from
+        :meth:`reset` (EnvConfig checks initial_dist) or from this method.
         """
         try:
             leader = self._next_leader[leader.vertex][action]
         except KeyError:
             raise InvalidActionError(
-                f"{Action(action).label} is not available at vertex {leader.vertex}"
+                f"{getattr(action, 'label', action)} is not available at vertex {leader.vertex}"
             ) from None
         if leader.flag == 1:
             v = leader.vertex

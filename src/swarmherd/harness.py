@@ -106,8 +106,11 @@ def train(cfg: TrainConfig) -> TrainResult:
     Each episode resets the environment, then alternates ε-greedy action
     selection, an environment step, and a TD update until the terminal test
     fires or the per-episode iteration cap is hit. SARSA bootstraps from the
-    action actually selected at the successor; Q-Learning from the best
-    valid successor action. Deterministic for a fixed seed.
+    action it selects at the successor, drawn before the update, so it also
+    draws after the last step of a capped episode. Q-Learning bootstraps from
+    the best valid successor action and selects each action at the top of its
+    step, after the previous update, so it draws nothing after the cap.
+    Deterministic for a fixed seed.
     """
     env = HerdingEnv(cfg.env)
     table = QTable.zeros(cfg.env.bins, cfg.env.rows, cfg.env.cols)
@@ -123,7 +126,6 @@ def train(cfg: TrainConfig) -> TrainResult:
         epsilon = cfg.learner.episode_epsilon(episode, cfg.episodes)
         followers, leader = env.reset(rng)
         total = 0.0
-        length = 0
         if env.mse_to_target(followers) < cfg.env.mu:
             stats.append(EpisodeStats(episode, 0, 0.0))
             continue
@@ -135,7 +137,6 @@ def train(cfg: TrainConfig) -> TrainResult:
                 a = select_action_index(values, s, actions[leader.vertex], epsilon, rng)
             followers, leader, r, terminal = env.step(followers, leader, a, rng)
             total += r
-            length = t
             target = r
             if not terminal:
                 s2 = env.state_index(followers, leader.vertex)
@@ -150,7 +151,7 @@ def train(cfg: TrainConfig) -> TrainResult:
             s = s2
             if sarsa:
                 a = a2
-        stats.append(EpisodeStats(episode, length, total))
+        stats.append(EpisodeStats(episode, t, total))
     return TrainResult(table, stats)
 
 
@@ -185,6 +186,10 @@ def evaluate(
     """
     if runs < 1:
         raise ConfigError("runs must be at least 1")
+    if eval_max_iters < 1:
+        raise ConfigError("eval_max_iters must be at least 1")
+    if not 0.0 <= epsilon_eval <= 1.0:
+        raise ConfigError(f"epsilon_eval={epsilon_eval} outside [0, 1]")
     check_compatible(table, env_cfg)
     env = HerdingEnv(env_cfg)
     values = table.values

@@ -28,6 +28,8 @@ ALGORITHMS = ("sarsa", "qlearning")
 MAGIC = b"SWHQ"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIIIIII")  # magic, version, M, bins, actions, rows, cols
+# Largest table QTable.zeros allocates; a 2x3 grid at 10 bins takes 425 MB.
+MAX_TABLE_BYTES = 4 * 2**30
 
 
 @dataclass
@@ -43,8 +45,14 @@ class QTable:
 
     @classmethod
     def zeros(cls, bins: int, rows: int, cols: int, actions: int = NUM_ACTIONS) -> "QTable":
-        """Freshly initialized table; unexplored entries read as 0."""
+        """Zeroed table (unexplored entries read as 0); ConfigError above MAX_TABLE_BYTES."""
         m = rows * cols
+        nbytes = num_states(bins, m) * actions * 8
+        if nbytes > MAX_TABLE_BYTES:
+            raise ConfigError(
+                f"a {rows}x{cols} table at {bins} bins needs {nbytes} bytes "
+                f"({nbytes / 2**30:.1f} GiB), above the {MAX_TABLE_BYTES // 2**30} GiB limit"
+            )
         return cls(
             values=np.zeros((num_states(bins, m), actions)),
             bins=bins,

@@ -139,6 +139,27 @@ def test_train_is_byte_reproducible(tmp_path, smoke_config):
     assert (outs[0] / "train_log.csv").read_bytes() == (outs[1] / "train_log.csv").read_bytes()
 
 
+def test_train_refuses_oversized_table_without_allocating(tmp_path, capsys):
+    import tracemalloc
+
+    config = tmp_path / "big.ini"
+    config.write_text(
+        "[graph]\nrows = 3\ncols = 3\n\n[env]\n"
+        "initial_dist = 1, 0, 0, 0, 0, 0, 0, 0, 0\n"
+        "target_dist = 0, 0, 0, 0, 0, 0, 0, 0, 1\n"
+    )
+    tracemalloc.start()
+    try:
+        rc = main(["train", "--config", str(config), "--out-dir", str(tmp_path / "out")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "848861168760 bytes" in err and "GiB" in err
+    assert peak < 10 * 2**20
+
+
 def test_train_unwritable_out_dir_is_io_error(tmp_path, smoke_config, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("already a file")
@@ -198,6 +219,23 @@ def test_evaluate_dimension_mismatch_is_compat_error(tmp_path, smoke_config, tra
     assert rc == 4
 
 
+@pytest.mark.parametrize("flags", [
+    ["--eval-max-iters", "-3"],
+    ["--eval-max-iters", "0"],
+    ["--epsilon-eval", "7"],
+    ["--epsilon-eval", "-0.1"],
+])
+def test_evaluate_rejects_bad_evaluation_inputs(tmp_path, smoke_config, trained_dir, flags, capsys):
+    out = tmp_path / "eval_bad"
+    rc = main([
+        "evaluate", str(trained_dir / "qtable.swhq"),
+        "--config", smoke_config, "--runs", "5", "--out-dir", str(out), *flags,
+    ])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_is_byte_reproducible(tmp_path, smoke_config, trained_dir):
     outs = []
     for name in ("e1", "e2"):
@@ -225,6 +263,15 @@ def test_simulate_random_policy_trace(tmp_path, smoke_config):
     first = lines[1].split(",")
     assert first[0] == "0" and first[3] == "" and first[4] == "10" and first[5] == "0"
     assert len(lines) <= 202
+
+
+def test_simulate_rejects_epsilon_outside_unit_interval(tmp_path, smoke_config, capsys):
+    rc = main([
+        "simulate", "--policy", "random", "--config", smoke_config,
+        "--epsilon-eval", "7", "--out-dir", str(tmp_path / "sim"),
+    ])
+    assert rc == 2
+    assert "epsilon_eval" in capsys.readouterr().err
 
 
 def test_simulate_requires_table_for_greedy(tmp_path, smoke_config, capsys):

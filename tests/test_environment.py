@@ -248,10 +248,11 @@ def test_env_step_conserves_mass_both_backends():
             assert abs(followers.sum() - 1.0) < 1e-9
 
 
-def test_env_step_invalid_action():
+@pytest.mark.parametrize("action", [Action.RIGHT, 1, 7, -1])
+def test_env_step_invalid_action(action):
     cfg = headline_env()
     with pytest.raises(InvalidActionError):
-        env_step(cfg, np.array([40, 10, 10, 40]), LeaderState(1, 0), Action.RIGHT,
+        env_step(cfg, np.array([40, 10, 10, 40]), LeaderState(1, 0), action,
                  np.random.default_rng(0))
 
 

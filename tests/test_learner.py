@@ -205,6 +205,20 @@ def test_epsilon_decay_schedule():
     assert constant.episode_epsilon(73, 100) == 0.2
 
 
+def test_zeros_rejects_tables_above_the_size_limit(monkeypatch):
+    from swarmherd import learner
+    from swarmherd.environment import NUM_ACTIONS, num_states
+
+    # The limit admits a 2x3 grid at 10 bins (425 MB).
+    assert num_states(10, 6) * NUM_ACTIONS * 8 <= learner.MAX_TABLE_BYTES
+    nbytes = num_states(2, 2) * NUM_ACTIONS * 8
+    monkeypatch.setattr(learner, "MAX_TABLE_BYTES", nbytes)
+    assert QTable.zeros(bins=2, rows=1, cols=2).values.nbytes == nbytes
+    monkeypatch.setattr(learner, "MAX_TABLE_BYTES", nbytes - 1)
+    with pytest.raises(ConfigError, match=f"needs {nbytes} bytes"):
+        QTable.zeros(bins=2, rows=1, cols=2)
+
+
 # --- persistence -----------------------------------------------------------------
 
 def test_save_load_roundtrip(tmp_path):
