@@ -248,12 +248,18 @@ def test_env_step_conserves_mass_both_backends():
             assert abs(followers.sum() - 1.0) < 1e-9
 
 
-@pytest.mark.parametrize("action", [Action.RIGHT, 1, 7, -1])
-def test_env_step_invalid_action(action):
+def test_env_step_invalid_action():
     cfg = headline_env()
     with pytest.raises(InvalidActionError):
-        env_step(cfg, np.array([40, 10, 10, 40]), LeaderState(1, 0), action,
+        env_step(cfg, np.array([40, 10, 10, 40]), LeaderState(1, 0), Action.RIGHT,
                  np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("action", [1, 7, -1])
+def test_env_step_rejects_bad_action_ints(action):
+    env = HerdingEnv(headline_env())
+    with pytest.raises(InvalidActionError, match=f"^{action} is not available"):
+        env.step(np.array([40, 10, 10, 40]), LeaderState(1, 0), action, np.random.default_rng(0))
 
 
 def test_mean_field_replay_is_bitwise_identical():

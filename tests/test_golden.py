@@ -92,7 +92,7 @@ CASES = {
         for alg in ("qlearning", "sarsa")
     },
     "headline": (None, (["train"], ["evaluate", TABLE, "--runs", "200", "--seed", "555"])),
-    # Every episode hits the 3-iteration cap, which pins each algorithm's
+    # Nearly every episode hits the 3-iteration cap, which pins each algorithm's
     # random-draw order at the cap.
     **{
         f"capped-{alg}": (SMOKE.format(algorithm=alg, max_iters=3), (["train"],))
@@ -130,7 +130,7 @@ def clean_environment(monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_data_files_match_golden_digests(name, tmp_path, clean_environment, capsys):
+def test_cli_data_files_match_golden_digests(name, tmp_path, clean_environment):
     expected = json.loads(DIGESTS.read_text())[name]
     assert run_case(name, tmp_path) == expected
 
