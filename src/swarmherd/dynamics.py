@@ -11,7 +11,7 @@ flag is raised.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -87,32 +87,35 @@ def follower_transition_probs(
 
 
 def repel_counts(
-    counts: np.ndarray, v: int, nbrs: tuple[int, ...], probs: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
+    counts: list[int], v: int, nbrs: tuple[int, ...], probs: np.ndarray, rng: np.random.Generator
+) -> list[int]:
     """Counts after a leader repels at v: counts[v] split by one multinomial draw.
 
     ``probs`` holds the (sorted neighbors ``nbrs``, stay) shares of
     :func:`follower_transition_probs`. The draw is taken even when
     counts[v] == 0, so stream consumption depends only on the leader trajectory.
+    Works on a plain list, because the training loop steps on M <= 9 vertices
+    where numpy's per-call overhead outweighs the arithmetic.
     """
-    draw = rng.multinomial(int(counts[v]), probs)
+    draw = rng.multinomial(counts[v], probs).tolist()
     out = counts.copy()
     out[v] = draw[-1]
-    for i, t in enumerate(nbrs):
-        out[t] += draw[i]
+    for t, k in zip(nbrs, draw):
+        out[t] += k
     return out
 
 
 def repel_density(
-    density: np.ndarray, v: int, nbrs: tuple[int, ...], probs: np.ndarray
-) -> np.ndarray:
-    """Density after a leader repels at v: a ``probs[i]`` share of density[v]
-    flows to ``nbrs[i]`` and the stay share ``probs[-1]`` remains."""
+    density: list[float], v: int, nbrs: tuple[int, ...], shares: Sequence[float]
+) -> list[float]:
+    """Density after a leader repels at v: a ``shares[i]`` share of density[v]
+    flows to ``nbrs[i]`` and the stay share ``shares[-1]`` remains. Plain
+    floats in and out, like :func:`repel_counts`."""
     mass = density[v]
     out = density.copy()
-    for i, t in enumerate(nbrs):
-        out[t] += probs[i] * mass
-    out[v] = probs[-1] * mass
+    for t, p in zip(nbrs, shares):
+        out[t] += p * mass
+    out[v] = shares[-1] * mass
     return out
 
 
@@ -136,7 +139,7 @@ def step_dtmc(
         return counts.copy()
     v = leader.vertex
     probs = follower_transition_probs(g, rates, leader, v)
-    return repel_counts(counts, v, g.neighbors[v], probs, rng)
+    return np.array(repel_counts(counts.tolist(), v, g.neighbors[v], probs, rng), dtype=np.int64)
 
 
 def assert_simplex(density: np.ndarray, atol: float = SIMPLEX_ATOL) -> None:
@@ -156,15 +159,16 @@ def mean_field_step(
     at v, ``rate * density[v]`` flows along each outgoing non-self edge and
     the remainder stays at v (:func:`repel_density`); every other vertex
     keeps its mass. Total mass and non-negativity are preserved. The input is
-    checked with :func:`assert_simplex`; ``HerdingEnv.step`` skips this wrapper.
+    checked with :func:`assert_simplex`; the training and evaluation loops
+    call :func:`repel_density` directly and skip the check.
     """
     density = np.asarray(density, dtype=np.float64)
     assert_simplex(density)
     if leader.flag != 1:
         return density.copy()
     v = leader.vertex
-    probs = follower_transition_probs(g, rates, leader, v)
-    return repel_density(density, v, g.neighbors[v], probs)
+    shares = follower_transition_probs(g, rates, leader, v).tolist()
+    return np.array(repel_density(density.tolist(), v, g.neighbors[v], shares))
 
 
 def empirical_distribution(counts: np.ndarray) -> np.ndarray:

@@ -24,8 +24,10 @@ from .dynamics import (
     LeaderState,
     TransitionRates,
     follower_transition_probs,
+    mean_field_step,
     repel_counts,
     repel_density,
+    step_dtmc,
 )
 from .errors import ConfigError, EncodingError, InvalidActionError
 from .graph import Graph, make_grid
@@ -86,9 +88,12 @@ def apply_leader_action(g: Graph, leader: LeaderState, action: Action) -> Leader
 
     Stay keeps the vertex and raises the repelling flag; a directional move
     goes to the corresponding grid neighbor with the flag down. Moves that
-    leave the grid raise InvalidActionError.
+    leave the grid, and integers outside Action, raise InvalidActionError.
     """
-    action = Action(action)
+    try:
+        action = Action(action)
+    except ValueError:
+        raise InvalidActionError(f"{action} is not available at vertex {leader.vertex}") from None
     if action is Action.STAY:
         return LeaderState(leader.vertex, 1)
     if action not in valid_actions(g, leader.vertex):
@@ -247,6 +252,12 @@ class HerdingEnv:
     Instances hold no episode state: :meth:`reset` and :meth:`step` take and
     return the (followers, leader) pair explicitly, so one env can serve any
     number of concurrent episodes as long as each uses its own random stream.
+
+    The training and evaluation loops step on plain Python values instead:
+    ``action_ids[v]`` (the valid actions at v as ints), ``moves[v][a]`` (the
+    leader state after action a at v), :meth:`repel` on a followers list, and
+    :meth:`score`. A move leaves the followers unchanged, so only a repel step
+    needs a new score.
     """
 
     def __init__(self, cfg: EnvConfig):
@@ -257,19 +268,27 @@ class HerdingEnv:
         self.target = np.asarray(cfg.target_dist, dtype=np.float64)
         m = self.graph.num_vertices
         self.actions = tuple(valid_actions(self.graph, v) for v in range(m))
-        self._next_leader = tuple(
-            {a: apply_leader_action(self.graph, LeaderState(v, 0), a) for a in self.actions[v]}
+        self.action_ids = tuple(tuple(int(a) for a in acts) for acts in self.actions)
+        self.moves = tuple(
+            {int(a): apply_leader_action(self.graph, LeaderState(v, 0), a) for a in self.actions[v]}
             for v in range(m)
         )
-        # Per-vertex repel categories, as step_dtmc and mean_field_step use them.
-        self._repel_probs = tuple(
+        self._counts_backend = cfg.backend == "dtmc"
+        # Per-vertex repel categories, as step_dtmc and mean_field_step use them:
+        # an array for the multinomial draw, plain floats for the density flow.
+        repel_probs = tuple(
             follower_transition_probs(self.graph, self.rates, LeaderState(v, 1), v)
             for v in range(m)
         )
+        self._repel_shares = (
+            repel_probs if self._counts_backend else tuple(p.tolist() for p in repel_probs)
+        )
         self._initial_counts = largest_remainder_counts(self.initial, cfg.num_agents)
-        self._counts_backend = cfg.backend == "dtmc"
-        self._m = float(m)
-        self._m_int = m
+        # Dividing a density by 1 is exact, so one kernel serves both backends.
+        self._scale = cfg.num_agents if self._counts_backend else 1
+        self._target = self.target.tolist()
+        self._radix_weights = tuple((cfg.bins + 1) ** v for v in range(m))
+        self._m = m
 
     def reset(self, rng: np.random.Generator) -> tuple[np.ndarray, LeaderState]:
         """Fresh episode: followers at the initial distribution, leader uniform, flag down.
@@ -277,10 +296,38 @@ class HerdingEnv:
         With the dtmc backend the initial counts are the largest-remainder
         apportionment of num_agents over initial_dist.
         """
-        leader = LeaderState(int(rng.integers(self._m_int)), 0)
+        leader = LeaderState(int(rng.integers(self._m)), 0)
         if self._counts_backend:
             return self._initial_counts.copy(), leader
         return self.initial.copy(), leader
+
+    def repel(self, followers: list, vertex: int, rng: np.random.Generator) -> list:
+        """Followers list after the leader repels at ``vertex`` (one multinomial
+        draw for counts, none for densities)."""
+        nbrs, shares = self.graph.neighbors[vertex], self._repel_shares[vertex]
+        if self._counts_backend:
+            return repel_counts(followers, vertex, nbrs, shares, rng)
+        return repel_density(followers, vertex, nbrs, shares)
+
+    def score(self, followers: Sequence) -> tuple[float, int]:
+        """``(sq, code)`` for a followers list (counts or densities).
+
+        The reward is ``-sq`` and the episode is terminal once ``sq / M < mu``;
+        ``v + M * code`` is the table index with the leader at v, the
+        :func:`encode_state` of :func:`discretize`. ``sq`` goes through
+        ``np.dot``: its summation order sets the low bits of every reward.
+        """
+        n = self._scale
+        bins = self.cfg.bins
+        diff = []
+        code = 0
+        for y, t, weight in zip(followers, self._target, self._radix_weights):
+            x = y / n
+            diff.append(x - t)
+            f = int(bins * x + 0.5)
+            code += (f if f < bins else bins) * weight
+        d = np.array(diff)
+        return float(np.dot(d, d)), code
 
     def step(
         self,
@@ -293,29 +340,22 @@ class HerdingEnv:
 
         Returns (followers', leader', reward, terminal). The reward is the
         negative squared distance of the post-step distribution from the
-        target; terminal once its per-vertex mean drops below mu. Densities
-        skip the simplex check of ``mean_field_step``: they come only from
-        :meth:`reset` (EnvConfig checks initial_dist) or from this method.
+        target; terminal once its per-vertex mean drops below mu. The
+        followers step through :func:`step_dtmc` or :func:`mean_field_step`,
+        so a density off the simplex raises SimplexError.
         """
         try:
-            leader = self._next_leader[leader.vertex][action]
+            leader = self.moves[leader.vertex][action]
         except KeyError:
             raise InvalidActionError(
                 f"{getattr(action, 'label', action)} is not available at vertex {leader.vertex}"
             ) from None
-        if leader.flag == 1:
-            v = leader.vertex
-            nbrs, probs = self.graph.neighbors[v], self._repel_probs[v]
-            if self._counts_backend:
-                followers = repel_counts(followers, v, nbrs, probs, rng)
-            else:
-                followers = repel_density(followers, v, nbrs, probs)
+        if self._counts_backend:
+            followers = step_dtmc(self.graph, self.rates, leader, followers, rng)
         else:
-            followers = followers.copy()
-        current = followers / self.cfg.num_agents if self._counts_backend else followers
-        diff = current - self.target
-        sq = float(np.dot(diff, diff))
-        return followers, leader, -sq, (sq / self._m) < self.cfg.mu
+            followers = mean_field_step(self.graph, self.rates, leader, followers)
+        sq, _ = self.score(followers.tolist())
+        return followers, leader, -sq, sq / self._m < self.cfg.mu
 
     def observe(self, followers: np.ndarray) -> np.ndarray:
         """The distribution the leader sees: empirical fractions or the density itself."""
@@ -324,30 +364,17 @@ class HerdingEnv:
         return np.asarray(followers, dtype=np.float64)
 
     def mse_to_target(self, followers: np.ndarray) -> float:
-        diff = self.observe(followers) - self.target
-        return float(np.dot(diff, diff)) / self._m
+        sq, _ = self.score(np.asarray(followers).tolist())
+        return sq / self._m
 
     def state_index(self, followers: np.ndarray, leader_vertex: int) -> int:
         """Encoded table index of the discretized observation.
 
-        Matches encode_state(DiscretizedState(discretize(observe(...)), v))
-        bit for bit; kept as explicit arithmetic because it runs once per
-        training step.
+        Equals encode_state(DiscretizedState(discretize(observe(...)), v)),
+        through the code of :meth:`score`.
         """
-        bins = self.cfg.bins
-        radix = bins + 1
-        n = self.cfg.num_agents
-        counts = self._counts_backend
-        idx = 0
-        for v in range(self._m_int - 1, -1, -1):
-            x = float(followers[v])
-            if counts:
-                x /= n
-            f = int(bins * x + 0.5)
-            if f > bins:
-                f = bins
-            idx = idx * radix + f
-        return leader_vertex + self._m_int * idx
+        _, code = self.score(np.asarray(followers).tolist())
+        return leader_vertex + self._m * code
 
 
 @functools.lru_cache(maxsize=64)

@@ -111,6 +111,10 @@ def train(cfg: TrainConfig) -> TrainResult:
     the best valid successor action and selects each action at the top of its
     step, after the previous update, so it draws nothing after the cap.
     Deterministic for a fixed seed.
+
+    The step is :meth:`HerdingEnv.step` on plain values: followers stay a
+    list, and only a repel step moves them, so a move step keeps the previous
+    reward, terminal test and follower code.
     """
     env = HerdingEnv(cfg.env)
     table = QTable.zeros(cfg.env.bins, cfg.env.rows, cfg.env.cols)
@@ -120,32 +124,44 @@ def train(cfg: TrainConfig) -> TrainResult:
     gamma = cfg.learner.gamma
     sarsa = cfg.learner.algorithm == "sarsa"
     max_iters = cfg.max_iters_per_episode
-    actions = env.actions
+    mu = cfg.env.mu
+    m = cfg.env.num_vertices
+    valid, moves = env.action_ids, env.moves
     stats = []
     for episode in range(cfg.episodes):
         epsilon = cfg.learner.episode_epsilon(episode, cfg.episodes)
         followers, leader = env.reset(rng)
+        followers, v = followers.tolist(), leader.vertex
+        sq, code = env.score(followers)
         total = 0.0
-        if env.mse_to_target(followers) < cfg.env.mu:
+        if sq / m < mu:
             stats.append(EpisodeStats(episode, 0, 0.0))
             continue
-        s = env.state_index(followers, leader.vertex)
+        s = v + m * code
         if sarsa:
-            a = select_action_index(values, s, actions[leader.vertex], epsilon, rng)
+            a = select_action_index(values, s, valid[v], epsilon, rng)
         for t in range(1, max_iters + 1):
             if not sarsa:
-                a = select_action_index(values, s, actions[leader.vertex], epsilon, rng)
-            followers, leader, r, terminal = env.step(followers, leader, a, rng)
+                a = select_action_index(values, s, valid[v], epsilon, rng)
+            v, flag = moves[v][a]
+            # A move leaves the followers, and so a non-terminal score, as they were.
+            terminal = False
+            if flag:
+                followers = env.repel(followers, v, rng)
+                sq, code = env.score(followers)
+                terminal = sq / m < mu
+            r = -sq
             total += r
             target = r
             if not terminal:
-                s2 = env.state_index(followers, leader.vertex)
+                s2 = v + m * code
                 if sarsa:
-                    a2 = select_action_index(values, s2, actions[leader.vertex], epsilon, rng)
-                    target += gamma * values[s2, a2]
+                    a2 = select_action_index(values, s2, valid[v], epsilon, rng)
+                    target += gamma * values.item(s2, a2)
                 else:
-                    target += gamma * max_action_value(values, s2, actions[leader.vertex])
-            values[s, a] += alpha * (target - values[s, a])
+                    target += gamma * max_action_value(values, s2, valid[v])
+            q = values.item(s, a)
+            values[s, a] = q + alpha * (target - q)
             if terminal:
                 break
             s = s2
@@ -169,6 +185,16 @@ def check_compatible(table: QTable, env_cfg: EnvConfig) -> None:
         )
 
 
+def check_evaluation_inputs(runs: int, eval_max_iters: int, epsilon_eval: float) -> None:
+    """Raise ConfigError for evaluation settings that :func:`evaluate` cannot run."""
+    if runs < 1:
+        raise ConfigError("runs must be at least 1")
+    if eval_max_iters < 1:
+        raise ConfigError("eval_max_iters must be at least 1")
+    if not 0.0 <= epsilon_eval <= 1.0:
+        raise ConfigError(f"epsilon_eval={epsilon_eval} outside [0, 1]")
+
+
 def evaluate(
     table: QTable,
     env_cfg: EnvConfig,
@@ -184,36 +210,35 @@ def evaluate(
     Discretization makes the table agnostic to the agent count, so env_cfg
     may use a different population than the table was trained on.
     """
-    if runs < 1:
-        raise ConfigError("runs must be at least 1")
-    if eval_max_iters < 1:
-        raise ConfigError("eval_max_iters must be at least 1")
-    if not 0.0 <= epsilon_eval <= 1.0:
-        raise ConfigError(f"epsilon_eval={epsilon_eval} outside [0, 1]")
+    check_evaluation_inputs(runs, eval_max_iters, epsilon_eval)
     check_compatible(table, env_cfg)
     env = HerdingEnv(env_cfg)
     values = table.values
-    actions = env.actions
+    valid, moves = env.action_ids, env.moves
     mu = env_cfg.mu
+    m = env_cfg.num_vertices
     records = []
     for run in range(runs):
         run_seed = derive_seed(seed, run)
         rng = np.random.default_rng(run_seed)
         followers, leader = env.reset(rng)
-        final_mse = env.mse_to_target(followers)
+        followers, v = followers.tolist(), leader.vertex
+        sq, code = env.score(followers)
         iterations = 0
-        converged = final_mse < mu
+        converged = sq / m < mu
         if not converged:
             for t in range(1, eval_max_iters + 1):
-                s = env.state_index(followers, leader.vertex)
-                a = select_action_index(values, s, actions[leader.vertex], epsilon_eval, rng)
-                followers, leader, _, terminal = env.step(followers, leader, a, rng)
+                a = select_action_index(values, v + m * code, valid[v], epsilon_eval, rng)
+                v, flag = moves[v][a]
                 iterations = t
-                if terminal:
-                    converged = True
-                    break
-            final_mse = env.mse_to_target(followers)
-        records.append(RunRecord(run, converged, iterations, final_mse, run_seed))
+                # Only a repel step moves the followers, so only it can end the run.
+                if flag:
+                    followers = env.repel(followers, v, rng)
+                    sq, code = env.score(followers)
+                    if sq / m < mu:
+                        converged = True
+                        break
+        records.append(RunRecord(run, converged, iterations, sq / m, run_seed))
     iters = np.array([r.iterations for r in records], dtype=np.float64)
     aggregate = EvalAggregate(
         mean_iterations=float(iters.mean()),
@@ -272,6 +297,7 @@ def sweep(
     """
     if not cells:
         raise ConfigError("sweep grid is empty")
+    check_evaluation_inputs(runs, eval_max_iters, epsilon_eval)
     groups: dict[TrainConfig, list[tuple[int, int]]] = {}
     for cell in cells:
         groups.setdefault(cell.train, []).append((cell.index, cell.n_test))

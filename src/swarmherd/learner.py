@@ -112,9 +112,10 @@ def greedy_action_index(
 ) -> Action:
     """Argmax over the valid actions, ties to the lowest canonical action index.
 
-    ``valid`` must be in canonical order, as produced by ``valid_actions``.
+    ``valid`` must be in canonical order, as produced by ``valid_actions``;
+    plain ints (``HerdingEnv.action_ids``) return an int.
     """
-    row = values[state_index]
+    row = values[state_index].tolist()
     best = valid[0]
     best_value = row[best]
     for a in valid[1:]:
@@ -127,13 +128,13 @@ def greedy_action_index(
 
 def max_action_value(values: np.ndarray, state_index: int, valid: Sequence[Action]) -> float:
     """Largest stored value among the valid actions at a state."""
-    row = values[state_index]
+    row = values[state_index].tolist()
     best = row[valid[0]]
     for a in valid[1:]:
         v = row[a]
         if v > best:
             best = v
-    return float(best)
+    return best
 
 
 def select_action_index(

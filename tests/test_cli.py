@@ -405,6 +405,27 @@ def test_sweep_empty_grid_is_config_error(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("setting", [
+    ("eval_max_iters = 200", "eval_max_iters = 0"),
+    ("eval_max_iters = 200", "eval_max_iters = 200\nepsilon_eval = 1.5"),
+    ("runs = 5", "runs = 0"),
+], ids=["eval_max_iters", "epsilon_eval", "runs"])
+def test_sweep_rejects_bad_evaluation_inputs_before_training(tmp_path, monkeypatch, capsys, setting):
+    import swarmherd.harness
+
+    def no_training(cfg):
+        raise AssertionError("sweep trained before checking its evaluation inputs")
+
+    monkeypatch.setattr(swarmherd.harness, "train", no_training)
+    config = tmp_path / "bad_sweep.ini"
+    config.write_text(SWEEP_CONFIG.replace(*setting))
+    out = tmp_path / "sweep_out"
+    rc = main(["sweep", "--config", str(config), "--out-dir", str(out)])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_parallel_jobs_match_serial(tmp_path, sweep_config):
     serial = tmp_path / "serial"
     parallel = tmp_path / "parallel"

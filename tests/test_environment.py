@@ -260,6 +260,8 @@ def test_env_step_rejects_bad_action_ints(action):
     env = HerdingEnv(headline_env())
     with pytest.raises(InvalidActionError, match=f"^{action} is not available"):
         env.step(np.array([40, 10, 10, 40]), LeaderState(1, 0), action, np.random.default_rng(0))
+    with pytest.raises(InvalidActionError, match="is not available at vertex 1"):
+        apply_leader_action(make_grid(2, 2), LeaderState(1, 0), action)
 
 
 def test_mean_field_replay_is_bitwise_identical():

@@ -9,6 +9,7 @@ from swarmherd import (
     DiscretizedState,
     HerdingEnv,
     QTable,
+    RunRecord,
     SweepCell,
     derive_seed,
     evaluate,
@@ -19,11 +20,11 @@ from swarmherd import (
     update_sarsa,
     valid_actions,
 )
-from swarmherd.environment import decode_state, discretize, make_grid
+from swarmherd.environment import BACKENDS, decode_state, discretize, make_grid
 from swarmherd.errors import CompatibilityError, ConfigError
-from swarmherd.learner import greedy_action_index
+from swarmherd.learner import greedy_action_index, select_action_index
 
-from helpers import smoke_env, smoke_train
+from helpers import headline_env, smoke_env, smoke_train
 from oracles import PolicyOracle
 
 
@@ -75,17 +76,29 @@ def test_value_bounds_after_training():
     assert np.isfinite(result.table.values).all()
 
 
+def _reference_env(grid: str, backend: str):
+    """A 1x2 smoke task, or a 2x2 task that can end within a few repels."""
+    if grid == "1x2":
+        return smoke_env(backend=backend)
+    return headline_env(
+        backend=backend, num_agents=20, beta=0.3, bins=4, mu=0.01,
+        initial_dist=(1.0, 0.0, 0.0, 0.0), target_dist=(0.0, 0.5, 0.5, 0.0),
+    )
+
+
 @pytest.mark.parametrize("algorithm", ["sarsa", "qlearning"])
-def test_train_single_steps_match_update_ops(algorithm):
+@pytest.mark.parametrize("grid", ["1x2", "2x2"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_train_single_steps_match_update_ops(backend, grid, algorithm):
     """The inlined training update must equal the public update operations."""
-    env_cfg = smoke_env(backend="mean-field")
-    cfg = smoke_train(algorithm=algorithm, episodes=3, env=env_cfg)
-    cfg = replace(cfg, max_iters_per_episode=4)
+    env_cfg = _reference_env(grid, backend)
+    cfg = smoke_train(algorithm=algorithm, episodes=10, env=env_cfg)
+    cfg = replace(cfg, max_iters_per_episode=8)
     result = train(cfg)
 
     env = HerdingEnv(env_cfg)
-    g = make_grid(1, 2)
-    table = QTable.zeros(env_cfg.bins, 1, 2)
+    g = make_grid(env_cfg.rows, env_cfg.cols)
+    table = QTable.zeros(env_cfg.bins, env_cfg.rows, env_cfg.cols)
     rng = np.random.default_rng(cfg.seed)
     lrn = cfg.learner
 
@@ -126,6 +139,45 @@ def test_train_single_steps_match_update_ops(algorithm):
                 )
                 state = nxt
     assert np.array_equal(result.table.values, table.values)
+    lengths = [e.length for e in result.episodes]
+    assert min(lengths) < cfg.max_iters_per_episode == max(lengths)  # terminal and capped
+
+
+def _reference_evaluate(table, env_cfg, runs, eval_max_iters, epsilon_eval, seed):
+    """evaluate() spelled out with the public environment and selection calls."""
+    env = HerdingEnv(env_cfg)
+    records = []
+    for run in range(runs):
+        run_seed = derive_seed(seed, run)
+        rng = np.random.default_rng(run_seed)
+        followers, leader = env.reset(rng)
+        iterations, converged = 0, env.mse_to_target(followers) < env_cfg.mu
+        while not converged and iterations < eval_max_iters:
+            s = env.state_index(followers, leader.vertex)
+            a = select_action_index(table.values, s, env.actions[leader.vertex], epsilon_eval, rng)
+            followers, leader, _, converged = env.step(followers, leader, a, rng)
+            iterations += 1
+        final_mse = env.mse_to_target(followers)
+        records.append(RunRecord(run, converged, iterations, final_mse, run_seed))
+    return records
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.3])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_evaluate_matches_step_by_step_reference(backend, epsilon):
+    # A trained table converges within the cap on some runs and not on others;
+    # a random one makes the greedy action depend on every state component.
+    env_cfg = smoke_env(backend=backend)
+    trained = train(smoke_train(episodes=60, env=env_cfg)).table
+    noisy = QTable.zeros(env_cfg.bins, 1, 2)
+    noisy.values[:] = np.random.default_rng(8).normal(size=noisy.values.shape)
+    args = dict(runs=40, eval_max_iters=5, epsilon_eval=epsilon, seed=4)
+    converged = set()
+    for table in (trained, noisy):
+        records, _ = evaluate(table, env_cfg, **args)
+        assert records == _reference_evaluate(table, env_cfg, **args)
+        converged |= {r.converged for r in records}
+    assert converged == {True, False}
 
 
 # --- evaluation ----------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Property-based checks: mass conservation and the equivalence of the two
-step paths over random small grids, and fuzzing of the table reader.
+"""Property-based checks: mass conservation, the equivalence of the two
+step paths and of the two state encoders over random small grids, the
+encode/decode bijection, and fuzzing of the table reader.
 
 Examples are derandomized and bounded so the suite stays fast and repeatable.
 """
@@ -7,6 +8,7 @@ Examples are derandomized and bounded so the suite stays fast and repeatable.
 from __future__ import annotations
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,15 +16,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swarmherd import (
+    DiscretizedState,
     EnvConfig,
     HerdingEnv,
     QTable,
     TransitionRates,
     apply_leader_action,
+    decode_state,
+    discretize,
     empirical_distribution,
+    encode_state,
     make_grid,
     mean_field_step,
     mse,
+    num_states,
     reward,
     step_dtmc,
 )
@@ -108,6 +115,44 @@ def test_step_matches_free_functions(cfg, seed, choices):
         assert r_a == reward(dist, env.target)
         assert t_a == (mse(dist, env.target) < cfg.mu)
     assert rng_a.random() == rng_b.random()
+
+
+def _followers(draw, cfg: EnvConfig) -> np.ndarray:
+    """Counts or densities, often on a half-bin edge where bins * x + 0.5 is an
+    integer, and up to twice the population so that the clip to ``bins`` shows."""
+    m, bins = cfg.num_vertices, cfg.bins
+    if cfg.backend == "dtmc":
+        counts = st.integers(0, 2 * cfg.num_agents)
+        return np.array(draw(st.lists(counts, min_size=m, max_size=m)), dtype=np.int64)
+    half_bin = st.integers(0, 2 * bins - 1).map(lambda k: (k + 0.5) / bins)
+    value = st.one_of(half_bin, st.floats(0.0, 2.0))
+    return np.array(draw(st.lists(value, min_size=m, max_size=m)))
+
+
+@SETTINGS
+@given(cfg=env_configs(), data=st.data())
+def test_state_index_matches_encode_of_discretize(cfg, data):
+    if cfg.backend == "dtmc" and data.draw(st.booleans()):
+        # With N = 2 * bins an odd count sits exactly between two bins.
+        cfg = replace(cfg, num_agents=2 * cfg.bins)
+    env = HerdingEnv(cfg)
+    followers = _followers(data.draw, cfg)
+    vertex = data.draw(st.integers(0, cfg.num_vertices - 1))
+    fractions = tuple(int(f) for f in discretize(env.observe(followers), cfg.bins))
+    expected = encode_state(DiscretizedState(fractions, vertex), cfg.bins, cfg.num_vertices)
+    assert env.state_index(followers, vertex) == expected
+
+
+@SETTINGS
+@given(bins=st.integers(1, 30), m=st.integers(1, 9), data=st.data())
+def test_encode_decode_is_a_bijection(bins, m, data):
+    index = data.draw(st.integers(0, num_states(bins, m) - 1))
+    assert encode_state(decode_state(index, bins, m), bins, m) == index
+    state = DiscretizedState(
+        tuple(data.draw(st.lists(st.integers(0, bins), min_size=m, max_size=m))),
+        data.draw(st.integers(0, m - 1)),
+    )
+    assert decode_state(encode_state(state, bins, m), bins, m) == state
 
 
 @pytest.fixture(scope="module")
