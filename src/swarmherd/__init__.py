@@ -24,11 +24,9 @@ from .environment import (
     decode_state,
     discretize,
     encode_state,
-    env_step,
     largest_remainder_counts,
     mse,
     num_states,
-    reset,
     reward,
     valid_actions,
 )
@@ -82,7 +80,6 @@ __all__ = [
     "discretize",
     "empirical_distribution",
     "encode_state",
-    "env_step",
     "evaluate",
     "follower_transition_probs",
     "is_strongly_connected",
@@ -94,7 +91,6 @@ __all__ = [
     "num_states",
     "out_neighbors",
     "q_lookup",
-    "reset",
     "reward",
     "save_qtable",
     "select_action",

@@ -15,10 +15,13 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import copy
+import itertools
 import json
 import os
 import sys
+import tempfile
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -30,8 +33,6 @@ from .environment import (
     EnvConfig,
     HerdingEnv,
     format_float,
-    mse,
-    reward,
     trace_header,
     trace_row,
 )
@@ -70,25 +71,11 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(float(x.strip()) for x in text.split(","))
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(x.strip()) for x in text.split(","))
-
-
-def _parse_strs(text: str) -> tuple[str, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(x.strip() for x in text.split(","))
+def _parse_list(item):
+    """Parser for a comma-separated list of ``item`` values; blank text is ()."""
+    def parse(text: str) -> tuple:
+        return tuple(item(x.strip()) for x in text.split(",")) if text.strip() else ()
+    return parse
 
 
 SCHEMA = {
@@ -100,8 +87,8 @@ SCHEMA = {
         "mu": float,
         "backend": str,
         "max_iterations": int,
-        "initial_dist": _parse_floats,
-        "target_dist": _parse_floats,
+        "initial_dist": _parse_list(float),
+        "target_dist": _parse_list(float),
     },
     "learner": {
         "algorithm": str,
@@ -114,12 +101,12 @@ SCHEMA = {
     "train": {"episodes": int, "max_iters": int, "seed": int},
     "sweep": {
         "name": str,
-        "algorithms": _parse_strs,
-        "n_train": _parse_ints,
-        "n_test": _parse_ints,
-        "betas": _parse_floats,
-        "mus": _parse_floats,
-        "bins": _parse_ints,
+        "algorithms": _parse_list(str),
+        "n_train": _parse_list(int),
+        "n_test": _parse_list(int),
+        "betas": _parse_list(float),
+        "mus": _parse_list(float),
+        "bins": _parse_list(int),
         "runs": int,
         "eval_max_iters": int,
         "epsilon_eval": float,
@@ -153,12 +140,13 @@ DEFAULTS = {
     "train": {"episodes": 5000, "max_iters": 5000, "seed": 12345},
     "sweep": {
         "name": "sweep",
-        "algorithms": ("qlearning",),
-        "n_train": (100,),
+        # Unset lists (None) take the [learner]/[env] value; unset n_test is n_train.
+        "algorithms": None,
+        "n_train": None,
         "n_test": (),
-        "betas": (0.1,),
-        "mus": (0.0025,),
-        "bins": (10,),
+        "betas": None,
+        "mus": None,
+        "bins": None,
         "runs": 1000,
         "eval_max_iters": 1000,
         "epsilon_eval": 0.0,
@@ -252,29 +240,21 @@ def expand_sweep(cfg: dict, master_seed: int) -> list[SweepCell]:
     max_iters = sw["max_iters"] or cfg["train"]["max_iters"]
     base_env = build_env_config(cfg)
     base_learner = build_learner_config(cfg)
+    keys = ("algorithms", "n_train", "betas", "mus", "bins")
+    point = (base_learner.algorithm, base_env.num_agents, base_env.beta, base_env.mu, base_env.bins)
+    axes = [(x,) if sw[key] is None else sw[key] for key, x in zip(keys, point)]
     cells = []
-    index = 0
-    group = 0
-    for algorithm in sw["algorithms"]:
-        for n_train in sw["n_train"]:
-            for beta in sw["betas"]:
-                for mu_value in sw["mus"]:
-                    for bins in sw["bins"]:
-                        env = replace(
-                            base_env, num_agents=n_train, beta=beta, mu=mu_value, bins=bins
-                        )
-                        learner = replace(base_learner, algorithm=algorithm)
-                        train_cfg = TrainConfig(
-                            env=env,
-                            learner=learner,
-                            episodes=episodes,
-                            max_iters_per_episode=max_iters,
-                            seed=derive_seed(master_seed, 0, group),
-                        )
-                        group += 1
-                        for n_test in sw["n_test"] or (n_train,):
-                            cells.append(SweepCell(index, train_cfg, n_test))
-                            index += 1
+    for group, (algorithm, n_train, beta, mu_value, bins) in enumerate(itertools.product(*axes)):
+        env = replace(base_env, num_agents=n_train, beta=beta, mu=mu_value, bins=bins)
+        train_cfg = TrainConfig(
+            env=env,
+            learner=replace(base_learner, algorithm=algorithm),
+            episodes=episodes,
+            max_iters_per_episode=max_iters,
+            seed=derive_seed(master_seed, 0, group),
+        )
+        for n_test in sw["n_test"] or (n_train,):
+            cells.append(SweepCell(len(cells), train_cfg, n_test))
     return cells
 
 
@@ -286,19 +266,34 @@ RUNS_HEADER = "cell,run,converged,iterations,final_mse,seed"
 AGGREGATE_HEADER = "algorithm,N_train,N_test,beta,mu,D,mean_iters,std_iters,conv_rate,runs"
 
 
-def _write_atomic(path: Path, text: str) -> None:
+@contextlib.contextmanager
+def _temp_beside(path: Path):
+    """A fresh temp file next to ``path``, with the permissions of a plain write;
+    it and its sidecar are removed on exit unless moved into place."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    fd, name = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    os.close(fd)
+    umask = os.umask(0)
+    os.umask(umask)
+    os.chmod(name, 0o666 & ~umask)
+    try:
+        yield Path(name)
+    finally:
+        for leftover in (Path(name), sidecar_path(name)):
+            leftover.unlink(missing_ok=True)
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    with _temp_beside(path) as tmp:
+        tmp.write_text(text)
+        os.replace(tmp, path)
 
 
 def _save_table_atomic(table, path: Path, extra_meta: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    save_qtable(table, tmp, extra_meta)
-    os.replace(tmp, path)
-    os.replace(sidecar_path(tmp), sidecar_path(path))
+    with _temp_beside(path) as tmp:
+        save_qtable(table, tmp, extra_meta)
+        os.replace(tmp, path)
+        os.replace(sidecar_path(tmp), sidecar_path(path))
 
 
 def _run_line(cell: int, record) -> str:
@@ -452,27 +447,30 @@ def cmd_simulate(args) -> int:
     env = HerdingEnv(env_cfg)
     rng = np.random.default_rng(seed)
     followers, leader = env.reset(rng)
-    density = env.observe(followers)
-    lines = [trace_header(env_cfg)]
-    r0 = reward(density, env.target)
-    m0 = mse(density, env.target)
-    terminal = m0 < env_cfg.mu
-    lines.append(trace_row(0, leader, None, followers, r0, m0, terminal))
-    frames = [render_frame(env, 0, None, followers, leader, m0)] if args.frames else []
+    followers = followers.tolist()
+    m = env_cfg.num_vertices
+    # The step of evaluate(): only a repel step moves the followers and rescores them.
+    sq, code = env.score(followers)
+    terminal = sq / m < env_cfg.mu
+    lines = [trace_header(env_cfg), trace_row(0, leader, None, followers, -sq, sq / m, terminal)]
+    frames = [render_frame(env, 0, None, followers, leader, sq / m)] if args.frames else []
     for k in range(1, env_cfg.max_iterations + 1):
         if terminal:
             break
-        valid = env.actions[leader.vertex]
+        valid = env.action_ids[leader.vertex]
         if table is None:
             action = valid[int(rng.integers(len(valid)))]
         else:
-            s = env.state_index(followers, leader.vertex)
+            s = leader.vertex + m * code
             action = select_action_index(table.values, s, valid, args.epsilon_eval, rng)
-        followers, leader, r, terminal = env.step(followers, leader, action, rng)
-        m = env.mse_to_target(followers)
-        lines.append(trace_row(k, leader, action, followers, r, m, terminal))
+        leader = env.moves[leader.vertex][action]
+        if leader.flag:
+            followers = env.repel(followers, leader.vertex, rng)
+            sq, code = env.score(followers)
+            terminal = sq / m < env_cfg.mu
+        lines.append(trace_row(k, leader, action, followers, -sq, sq / m, terminal))
         if args.frames:
-            frames.append(render_frame(env, k, action, followers, leader, m))
+            frames.append(render_frame(env, k, action, followers, leader, sq / m))
     out = Path(args.out_dir)
     _write_atomic(out / "trace.csv", "\n".join(lines) + "\n")
     if args.frames:

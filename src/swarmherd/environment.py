@@ -12,7 +12,6 @@ post-step distribution.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple, Sequence
@@ -253,11 +252,11 @@ class HerdingEnv:
     return the (followers, leader) pair explicitly, so one env can serve any
     number of concurrent episodes as long as each uses its own random stream.
 
-    The training and evaluation loops step on plain Python values instead:
-    ``action_ids[v]`` (the valid actions at v as ints), ``moves[v][a]`` (the
-    leader state after action a at v), :meth:`repel` on a followers list, and
-    :meth:`score`. A move leaves the followers unchanged, so only a repel step
-    needs a new score.
+    The training, evaluation and simulate loops step on plain Python values
+    instead: ``action_ids[v]`` (the valid actions at v as ints), ``moves[v][a]``
+    (the leader state after action a at v), :meth:`repel` on a followers list,
+    and :meth:`score`. A move leaves the followers unchanged, so only a repel
+    step needs a new score.
     """
 
     def __init__(self, cfg: EnvConfig):
@@ -375,27 +374,6 @@ class HerdingEnv:
         """
         _, code = self.score(np.asarray(followers).tolist())
         return leader_vertex + self._m * code
-
-
-@functools.lru_cache(maxsize=64)
-def _shared_env(cfg: EnvConfig) -> HerdingEnv:
-    return HerdingEnv(cfg)
-
-
-def reset(cfg: EnvConfig, rng: np.random.Generator) -> tuple[np.ndarray, LeaderState]:
-    """Initial (followers, leader) pair for an episode (see HerdingEnv.reset)."""
-    return _shared_env(cfg).reset(rng)
-
-
-def env_step(
-    cfg: EnvConfig,
-    followers: np.ndarray,
-    leader: LeaderState,
-    action: Action,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, LeaderState, float, bool]:
-    """One environment iteration (see HerdingEnv.step)."""
-    return _shared_env(cfg).step(followers, leader, action, rng)
 
 
 def format_float(x: float) -> str:

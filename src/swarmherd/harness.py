@@ -21,6 +21,7 @@ from .learner import (
     QTable,
     max_action_value,
     select_action_index,
+    td_update,
 )
 
 
@@ -160,8 +161,7 @@ def train(cfg: TrainConfig) -> TrainResult:
                     target += gamma * values.item(s2, a2)
                 else:
                     target += gamma * max_action_value(values, s2, valid[v])
-            q = values.item(s, a)
-            values[s, a] = q + alpha * (target - q)
+            td_update(values, s, a, target, alpha)
             if terminal:
                 break
             s = s2

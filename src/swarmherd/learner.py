@@ -128,13 +128,13 @@ def greedy_action_index(
 
 def max_action_value(values: np.ndarray, state_index: int, valid: Sequence[Action]) -> float:
     """Largest stored value among the valid actions at a state."""
-    row = values[state_index].tolist()
-    best = row[valid[0]]
-    for a in valid[1:]:
-        v = row[a]
-        if v > best:
-            best = v
-    return best
+    return values.item(state_index, greedy_action_index(values, state_index, valid))
+
+
+def td_update(values: np.ndarray, s: int, a: int, target: float, alpha: float) -> None:
+    """The TD write ``Q(s,a) += alpha * (target - Q(s,a))``, in place, on plain floats."""
+    q = values.item(s, a)
+    values[s, a] = q + alpha * (target - q)
 
 
 def select_action_index(
@@ -188,13 +188,11 @@ def update_sarsa(
     Modifies exactly one entry, in place. With ``terminal`` the bootstrap
     term is dropped (terminal successors carry no value).
     """
-    s = encode_state(state, q.bins, q.num_vertices)
-    a = int(action)
     target = reward_value
     if not terminal:
         s2 = encode_state(next_state, q.bins, q.num_vertices)
-        target = reward_value + cfg.gamma * float(q.values[s2, int(next_action)])
-    q.values[s, a] += cfg.alpha * (target - q.values[s, a])
+        target = reward_value + cfg.gamma * q.values.item(s2, int(next_action))
+    td_update(q.values, encode_state(state, q.bins, q.num_vertices), int(action), target, cfg.alpha)
     return q
 
 
@@ -213,13 +211,11 @@ def update_qlearning(
     The max ranges only over the actions valid at the successor's leader
     vertex. Modifies exactly one entry, in place.
     """
-    s = encode_state(state, q.bins, q.num_vertices)
-    a = int(action)
     target = reward_value
     if not terminal:
         s2 = encode_state(next_state, q.bins, q.num_vertices)
         target = reward_value + cfg.gamma * max_action_value(q.values, s2, next_valid)
-    q.values[s, a] += cfg.alpha * (target - q.values[s, a])
+    td_update(q.values, encode_state(state, q.bins, q.num_vertices), int(action), target, cfg.alpha)
     return q
 
 

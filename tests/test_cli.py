@@ -1,9 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
-from swarmherd.cli import expand_sweep, load_config, main
+from swarmherd import HerdingEnv, load_qtable, mse, reward
+from swarmherd.cli import build_env_config, expand_sweep, load_config, main, render_frame
+from swarmherd.environment import trace_header, trace_row
 from swarmherd.errors import ConfigError
+from swarmherd.learner import select_action_index
 
 SMOKE_CONFIG = """\
 [graph]
@@ -249,6 +253,34 @@ def test_evaluate_is_byte_reproducible(tmp_path, smoke_config, trained_dir):
     assert (outs[0] / "eval_aggregate.csv").read_bytes() == (outs[1] / "eval_aggregate.csv").read_bytes()
 
 
+def test_writes_step_around_stale_temp_paths(tmp_path, smoke_config, trained_dir):
+    table = str(trained_dir / "qtable.swhq")
+    out = tmp_path / "out"
+    (out / "eval_runs.csv.tmp").mkdir(parents=True)
+    (out / "qtable.swhq.tmp").mkdir()
+    assert main(["train", "--config", smoke_config, "--out-dir", str(out)]) == 0
+    assert main(["evaluate", table, "--config", smoke_config, "--runs", "5",
+                 "--out-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "eval_aggregate.csv", "eval_runs.csv", "eval_runs.csv.tmp",
+        "qtable.swhq", "qtable.swhq.meta.json", "qtable.swhq.tmp", "train_log.csv",
+    ]
+    # Written files get the permissions of a plain write, not the temp file's 0600.
+    (out / "plain").write_text("")
+    assert (out / "eval_runs.csv").stat().st_mode == (out / "plain").stat().st_mode
+    assert (out / "qtable.swhq").stat().st_mode == (out / "plain").stat().st_mode
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path, smoke_config, trained_dir):
+    out = tmp_path / "out"
+    (out / "eval_runs.csv").mkdir(parents=True)
+    (out / "eval_runs.csv" / "keep").write_text("")
+    rc = main(["evaluate", str(trained_dir / "qtable.swhq"), "--config", smoke_config,
+               "--runs", "5", "--out-dir", str(out)])
+    assert rc == 3
+    assert [p.name for p in out.iterdir()] == ["eval_runs.csv"]
+
+
 # --- simulate ----------------------------------------------------------------------
 
 def test_simulate_random_policy_trace(tmp_path, smoke_config):
@@ -317,6 +349,67 @@ def test_simulate_frames_show_initial_counts_and_target(tmp_path, capsys):
     assert "k=0" in frame0
     assert "40" in frame0 and "10" in frame0
     assert "target: 0.1 0.4 0.4 0.1" in frame0
+
+
+def _reference_simulate(env_cfg, values, epsilon, seed):
+    """trace.csv and the frames, rebuilt step by step on HerdingEnv.step."""
+    env = HerdingEnv(env_cfg)
+    rng = np.random.default_rng(seed)
+    followers, leader = env.reset(rng)
+    density = env.observe(followers)
+    m = mse(density, env.target)
+    terminal = m < env_cfg.mu
+    lines = [trace_header(env_cfg), trace_row(0, leader, None, followers,
+                                              reward(density, env.target), m, terminal)]
+    frames = [render_frame(env, 0, None, followers, leader, m)]
+    for k in range(1, env_cfg.max_iterations + 1):
+        if terminal:
+            break
+        valid = env.actions[leader.vertex]
+        if values is None:
+            action = valid[int(rng.integers(len(valid)))]
+        else:
+            s = env.state_index(followers, leader.vertex)
+            action = select_action_index(values, s, valid, epsilon, rng)
+        followers, leader, r, terminal = env.step(followers, leader, action, rng)
+        m = env.mse_to_target(followers)
+        lines.append(trace_row(k, leader, action, followers, r, m, terminal))
+        frames.append(render_frame(env, k, action, followers, leader, m))
+    return "\n".join(lines) + "\n", "\n\n".join(frames), terminal
+
+
+def test_simulate_matches_step_by_step_reference(tmp_path, smoke_config, trained_dir, capsys):
+    table = str(trained_dir / "qtable.swhq")
+    capped = tmp_path / "capped.ini"
+    capped.write_text(SMOKE_CONFIG.replace("max_iterations = 200", "max_iterations = 6"))
+    outcomes = set()
+    for backend in ("dtmc", "mean-field"):
+        for policy, config, epsilon, seed in (
+            ("greedy", smoke_config, 0.2, 4),
+            ("greedy", str(capped), 0.0, 4),
+            ("random", smoke_config, 0.0, 3),
+            ("random", str(capped), 0.0, 8),
+        ):
+            out = tmp_path / f"{backend}-{policy}-{seed}-{epsilon}"
+            args = ["simulate", "--policy", policy, "--config", config, "--backend", backend,
+                    "--seed", str(seed), "--epsilon-eval", str(epsilon),
+                    "--out-dir", str(out), "--frames"]
+            capsys.readouterr()
+            assert main(args + ([table] if policy == "greedy" else [])) == 0
+            shown = capsys.readouterr().out
+            env_cfg = build_env_config(load_config(config), backend=backend)
+            values = load_qtable(table).values if policy == "greedy" else None
+            trace, frames, converged = _reference_simulate(env_cfg, values, epsilon, seed)
+            assert (out / "trace.csv").read_text() == trace
+            rows = trace.splitlines()
+            assert shown == f"{frames}\nwrote {out / 'trace.csv'} ({len(rows) - 1} iterations)\n"
+            outcomes.add((backend, policy, converged))
+            if not converged:
+                assert rows[-1].startswith(f"{env_cfg.max_iterations},")
+    # Both backends see a converged run and a run that hits the cap.
+    assert {(b, c) for b, _, c in outcomes} == {
+        ("dtmc", True), ("dtmc", False), ("mean-field", True), ("mean-field", False)
+    }
 
 
 # --- sweep -------------------------------------------------------------------------
@@ -396,6 +489,22 @@ def test_sweep_resume_skips_done_cells_and_matches_bytes(tmp_path, sweep_config)
     assert main(["sweep", "--config", sweep_config, "--out-dir", str(resumed), "--resume"]) == 0
     assert (resumed / "demo_aggregate.csv").read_bytes() == (full / "demo_aggregate.csv").read_bytes()
     assert (resumed / "demo_runs.csv").read_bytes() == (full / "demo_runs.csv").read_bytes()
+
+
+def test_sweep_unset_lists_take_env_and_learner_values(tmp_path):
+    config = tmp_path / "point.ini"
+    config.write_text(SMOKE_CONFIG.replace("algorithm = qlearning", "algorithm = sarsa") + """
+[sweep]
+name = demo
+runs = 5
+eval_max_iters = 200
+episodes = 40
+""")
+    out = tmp_path / "sweep_out"
+    assert main(["sweep", "--config", str(config), "--out-dir", str(out)]) == 0
+    agg = (out / "demo_aggregate.csv").read_text().splitlines()
+    assert len(agg) == 2
+    assert agg[1].startswith("sarsa,10,10,0.4,0.01,2,")
 
 
 def test_sweep_empty_grid_is_config_error(tmp_path, capsys):

@@ -11,12 +11,10 @@ from swarmherd import (
     discretize,
     empirical_distribution,
     encode_state,
-    env_step,
     largest_remainder_counts,
     make_grid,
     mse,
     num_states,
-    reset,
     reward,
     valid_actions,
 )
@@ -179,7 +177,7 @@ def test_largest_remainder_always_sums(grid):
 
 def test_reset_counts_and_flag():
     cfg = headline_env()
-    followers, leader = reset(cfg, np.random.default_rng(3))
+    followers, leader = HerdingEnv(cfg).reset(np.random.default_rng(3))
     assert followers.tolist() == [40, 10, 10, 40]
     assert leader.flag == 0
 
@@ -187,23 +185,26 @@ def test_reset_counts_and_flag():
 def test_reset_leader_uniformish():
     cfg = headline_env()
     rng = np.random.default_rng(4)
-    seen = {reset(cfg, rng)[1].vertex for _ in range(200)}
+    env = HerdingEnv(cfg)
+    seen = {env.reset(rng)[1].vertex for _ in range(200)}
     assert seen == {0, 1, 2, 3}
 
 
 def test_reset_mean_field_returns_initial_exactly():
     cfg = headline_env(backend="mean-field")
-    followers, _ = reset(cfg, np.random.default_rng(5))
+    followers, _ = HerdingEnv(cfg).reset(np.random.default_rng(5))
     assert followers.tolist() == list(HEADLINE_INITIAL)
 
 
-# --- env_step ------------------------------------------------------------------
+# --- HerdingEnv.step ----------------------------------------------------------
 
 def test_env_step_mean_field_stay_example():
     cfg = headline_env(backend="mean-field")
     rng = np.random.default_rng(0)
     followers = np.array(HEADLINE_INITIAL)
-    followers2, leader2, r, terminal = env_step(cfg, followers, LeaderState(0, 0), Action.STAY, rng)
+    followers2, leader2, r, terminal = HerdingEnv(cfg).step(
+        followers, LeaderState(0, 0), Action.STAY, rng
+    )
     assert np.allclose(followers2, [0.32, 0.14, 0.14, 0.40], atol=1e-15)
     assert leader2 == LeaderState(0, 1)
     assert abs(r - (-0.2736)) < 1e-12
@@ -213,8 +214,8 @@ def test_env_step_mean_field_stay_example():
 def test_env_step_at_target_with_passive_move():
     cfg = headline_env(backend="mean-field")
     followers = np.array(HEADLINE_TARGET)
-    followers2, leader2, r, terminal = env_step(
-        cfg, followers, LeaderState(0, 0), Action.RIGHT, np.random.default_rng(0)
+    followers2, leader2, r, terminal = HerdingEnv(cfg).step(
+        followers, LeaderState(0, 0), Action.RIGHT, np.random.default_rng(0)
     )
     assert r == 0.0
     assert terminal is True
@@ -224,10 +225,11 @@ def test_env_step_at_target_with_passive_move():
 def test_env_step_terminal_iff_mse_below_mu():
     cfg = headline_env()
     rng = np.random.default_rng(6)
-    followers, leader = reset(cfg, rng)
+    env = HerdingEnv(cfg)
+    followers, leader = env.reset(rng)
     for _ in range(50):
         action = valid_actions(make_grid(2, 2), leader.vertex)[0]
-        followers, leader, r, terminal = env_step(cfg, followers, leader, action, rng)
+        followers, leader, r, terminal = env.step(followers, leader, action, rng)
         m = mse(empirical_distribution(followers), np.array(HEADLINE_TARGET))
         assert terminal == (m < cfg.mu)
 
@@ -236,11 +238,12 @@ def test_env_step_conserves_mass_both_backends():
     rng = np.random.default_rng(7)
     for backend in ("dtmc", "mean-field"):
         cfg = headline_env(backend=backend)
-        followers, leader = reset(cfg, rng)
+        env = HerdingEnv(cfg)
+        followers, leader = env.reset(rng)
         for _ in range(100):
             acts = valid_actions(make_grid(2, 2), leader.vertex)
-            followers, leader, _, _ = env_step(
-                cfg, followers, leader, acts[int(rng.integers(len(acts)))], rng
+            followers, leader, _, _ = env.step(
+                followers, leader, acts[int(rng.integers(len(acts)))], rng
             )
         if backend == "dtmc":
             assert followers.sum() == 100
@@ -251,8 +254,8 @@ def test_env_step_conserves_mass_both_backends():
 def test_env_step_invalid_action():
     cfg = headline_env()
     with pytest.raises(InvalidActionError):
-        env_step(cfg, np.array([40, 10, 10, 40]), LeaderState(1, 0), Action.RIGHT,
-                 np.random.default_rng(0))
+        HerdingEnv(cfg).step(np.array([40, 10, 10, 40]), LeaderState(1, 0), Action.RIGHT,
+                             np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("action", [1, 7, -1])
@@ -292,7 +295,7 @@ def test_env_step_matches_free_function_composition():
     rng_a = np.random.default_rng(11)
     rng_b = np.random.default_rng(11)
     followers_a, leader_a = env.reset(rng_a)
-    followers_b, leader_b = reset(cfg, rng_b)
+    followers_b, leader_b = HerdingEnv(cfg).reset(rng_b)
     for k in range(200):
         action = valid_actions(g, leader_a.vertex)[k % 3]
         followers_a, leader_a, r_a, t_a = env.step(followers_a, leader_a, action, rng_a)
