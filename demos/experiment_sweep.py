@@ -52,15 +52,16 @@ for group, (algorithm, beta) in enumerate(
     )
     cells.append(SweepCell(index=group, train=train_cfg, n_test=10))
 
-rows, records = sweep(cells, runs=200, eval_max_iters=200, master_seed=MASTER_SEED)
+## One (cell, per-run records, aggregate) per cell, in cell order.
+results = sweep(cells, runs=200, eval_max_iters=200, master_seed=MASTER_SEED)
 
 print(f"{'algorithm':<10} {'beta':>5} {'mean iters':>11} {'std':>7} {'conv':>6}")
-for row in rows:
-    print(f"{row.algorithm:<10} {row.beta:>5} {row.mean_iterations:>11.1f} "
-          f"{row.std_iterations:>7.1f} {row.convergence_rate:>6.2f}")
+for cell, _, agg in results:
+    print(f"{cell.train.learner.algorithm:<10} {cell.train.env.beta:>5} "
+          f"{agg.mean_iterations:>11.1f} {agg.std_iterations:>7.1f} {agg.convergence_rate:>6.2f}")
 
 ## A faster departure rate drains the crowded vertex in fewer iterations.
-slow = [r for r in rows if r.beta == 0.2]
-fast = [r for r in rows if r.beta == 0.4]
+slow = [agg for cell, _, agg in results if cell.train.env.beta == 0.2]
+fast = [agg for cell, _, agg in results if cell.train.env.beta == 0.4]
 print("\nhigher beta converges faster:",
       all(f.mean_iterations < s.mean_iterations for f, s in zip(fast, slow)))

@@ -36,7 +36,6 @@ from .harness import (
     EpisodeStats,
     RunRecord,
     SweepCell,
-    SweepRow,
     TrainConfig,
     TrainResult,
     derive_seed,
@@ -70,7 +69,6 @@ __all__ = [
     "QTable",
     "RunRecord",
     "SweepCell",
-    "SweepRow",
     "TrainConfig",
     "TrainResult",
     "TransitionRates",

@@ -160,11 +160,13 @@ def load_config(path: str | None) -> dict:
     """Parse the config file over the defaults, then apply SWHERD_* variables."""
     cfg = copy.deepcopy(DEFAULTS)
     if path is not None:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from None
         parser = configparser.ConfigParser(interpolation=None)
         try:
-            parser.read(path)
+            parser.read_string(text, source=path)
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from None
         for section in parser.sections():
@@ -234,13 +236,19 @@ def expand_sweep(cfg: dict, master_seed: int) -> list[SweepCell]:
 
     Cells with the same training parameters (differing only in n_test) share
     one training seed so the trained table is reused across test populations.
+    The training seed comes from the group's position and the evaluation seed
+    from the cell index, so a cell's results depend on the cells before it.
     """
     sw = cfg["sweep"]
+    keys = ("algorithms", "n_train", "betas", "mus", "bins")
+    for key in (*keys, "n_test"):
+        values = sw[key] or ()
+        if len(set(values)) < len(values):
+            raise ConfigError(f"[sweep] {key} repeats a value: {', '.join(map(str, values))}")
     episodes = sw["episodes"] or cfg["train"]["episodes"]
     max_iters = sw["max_iters"] or cfg["train"]["max_iters"]
     base_env = build_env_config(cfg)
     base_learner = build_learner_config(cfg)
-    keys = ("algorithms", "n_train", "betas", "mus", "bins")
     point = (base_learner.algorithm, base_env.num_agents, base_env.beta, base_env.mu, base_env.bins)
     axes = [(x,) if sw[key] is None else sw[key] for key, x in zip(keys, point)]
     cells = []
@@ -303,17 +311,19 @@ def _run_line(cell: int, record) -> str:
     )
 
 
-def _aggregate_line(algorithm, n_train, n_test, beta, mu_value, bins,
-                    mean_iters, std_iters, conv_rate, runs) -> str:
+def _aggregate_key(algorithm, n_train, env: EnvConfig) -> str:
+    """The first six aggregate fields: what was trained and what it was tested on."""
     return (
-        f"{algorithm},{n_train},{n_test},{format_float(beta)},{format_float(mu_value)},{bins},"
-        f"{format_float(mean_iters)},{format_float(std_iters)},"
-        f"{format_float(conv_rate)},{runs}"
+        f"{algorithm},{n_train},{env.num_agents},{format_float(env.beta)},"
+        f"{format_float(env.mu)},{env.bins}"
     )
 
 
-def _row_key(algorithm, n_train, n_test, beta, mu, bins) -> tuple[str, ...]:
-    return (str(algorithm), str(n_train), str(n_test), format_float(beta), format_float(mu), str(bins))
+def _aggregate_line(key: str, agg) -> str:
+    return (
+        f"{key},{format_float(agg.mean_iterations)},{format_float(agg.std_iterations)},"
+        f"{format_float(agg.convergence_rate)},{agg.runs}"
+    )
 
 
 def _training_meta(tc: TrainConfig) -> dict:
@@ -391,10 +401,7 @@ def cmd_evaluate(args) -> int:
     out = Path(args.out_dir)
     runs_lines = [RUNS_HEADER] + [_run_line(0, r) for r in records]
     _write_atomic(out / "eval_runs.csv", "\n".join(runs_lines) + "\n")
-    agg_line = _aggregate_line(
-        algorithm, n_train, env_cfg.num_agents, env_cfg.beta, env_cfg.mu, env_cfg.bins,
-        agg.mean_iterations, agg.std_iterations, agg.convergence_rate, agg.runs,
-    )
+    agg_line = _aggregate_line(_aggregate_key(algorithm, n_train, env_cfg), agg)
     _write_atomic(out / "eval_aggregate.csv", AGGREGATE_HEADER + "\n" + agg_line + "\n")
     print(
         f"runs={agg.runs} mean_iterations={format_float(agg.mean_iterations)} "
@@ -489,25 +496,24 @@ def cmd_sweep(args) -> int:
     out = Path(args.out_dir)
     agg_path = out / f"{sw['name']}_aggregate.csv"
     runs_path = out / f"{sw['name']}_runs.csv"
-
-    def cell_key(cell: SweepCell) -> tuple[str, ...]:
-        t = cell.train
-        return _row_key(
-            t.learner.algorithm, t.env.num_agents, cell.n_test, t.env.beta, t.env.mu, t.env.bins
-        )
-
-    done_rows: dict[tuple[str, ...], str] = {}
-    done_runs: dict[int, list[str]] = {}
+    keys = [_aggregate_key(c.train.learner.algorithm, c.train.env.num_agents, c.env) for c in cells]
+    kept_rows, kept_runs = [], []
     if args.resume and agg_path.exists():
-        for line in agg_path.read_text().splitlines()[1:]:
-            parts = line.split(",")
-            done_rows[tuple(parts[:6])] = line
+        # Keep the leading rows that match the grid's first cells: with seeds
+        # drawn from grid positions, those are the rows a fresh run rewrites.
+        for key, line in zip(keys, agg_path.read_text().splitlines()[1:]):
+            if line.rsplit(",", 4)[0] != key:
+                break
+            kept_rows.append(line)
         if runs_path.exists():
-            for line in runs_path.read_text().splitlines()[1:]:
-                done_runs.setdefault(int(line.split(",", 1)[0]), []).append(line)
-    pending = [c for c in cells if cell_key(c) not in done_rows]
+            kept_runs = [
+                line for line in runs_path.read_text().splitlines()[1:]
+                if int(line.split(",", 1)[0]) < len(kept_rows)
+            ]
+    pending = cells[len(kept_rows):]
+    results = []
     if pending:
-        rows, records = sweep(
+        results = sweep(
             pending,
             runs=sw["runs"],
             eval_max_iters=sw["eval_max_iters"],
@@ -515,30 +521,13 @@ def cmd_sweep(args) -> int:
             master_seed=master_seed,
             jobs=args.jobs,
         )
-    else:
-        rows, records = [], []
-    produced = {r.index: r for r in rows}
-    agg_lines = [AGGREGATE_HEADER]
-    run_lines = []
-    for cell in cells:
-        if cell.index in produced:
-            r = produced[cell.index]
-            agg_lines.append(
-                _aggregate_line(
-                    r.algorithm, r.n_train, r.n_test, r.beta, r.mu, r.bins,
-                    r.mean_iterations, r.std_iterations, r.convergence_rate, r.runs,
-                )
-            )
-        elif cell_key(cell) in done_rows:
-            agg_lines.append(done_rows[cell_key(cell)])
-            run_lines.extend(done_runs.get(cell.index, []))
-    for index, record in records:
-        run_lines.append(_run_line(index, record))
-    # Re-sort the per-run section by (cell, run) so resumed output matches a
-    # from-scratch invocation byte for byte.
-    run_lines.sort(key=lambda s: (int(s.split(",")[0]), int(s.split(",")[1])))
+    agg_lines = [AGGREGATE_HEADER, *kept_rows]
+    run_lines = [RUNS_HEADER, *kept_runs]
+    for cell, records, agg in results:
+        agg_lines.append(_aggregate_line(keys[cell.index], agg))
+        run_lines += [_run_line(cell.index, r) for r in records]
     _write_atomic(agg_path, "\n".join(agg_lines) + "\n")
-    _write_atomic(runs_path, "\n".join([RUNS_HEADER] + run_lines) + "\n")
+    _write_atomic(runs_path, "\n".join(run_lines) + "\n")
     print(f"wrote {agg_path} ({len(agg_lines) - 1} cells)")
     return 0
 
@@ -609,9 +598,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="train and evaluate a grid of configurations")
     _add_common(p)
-    p.add_argument("--jobs", type=int, default=1, help="parallel training workers")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel training workers, at most one per training group")
     p.add_argument("--resume", action="store_true",
-                   help="skip cells already present in the aggregate output")
+                   help="keep the leading aggregate rows (and their runs) that match "
+                        "the grid's first cells; compute the rest")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("inspect", help="print a table's header and summary statistics")

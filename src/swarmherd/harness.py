@@ -83,22 +83,14 @@ class SweepCell:
     train: TrainConfig
     n_test: int
 
+    def __post_init__(self):
+        if self.n_test < 1:
+            raise ConfigError(f"n_test must be at least 1, got {self.n_test}")
 
-@dataclass(frozen=True)
-class SweepRow:
-    """Aggregate outcome for one sweep cell."""
-
-    index: int
-    algorithm: str
-    n_train: int
-    n_test: int
-    beta: float
-    mu: float
-    bins: int
-    mean_iterations: float
-    std_iterations: float
-    convergence_rate: float
-    runs: int
+    @property
+    def env(self) -> EnvConfig:
+        """The environment this cell's policy is evaluated on."""
+        return replace(self.train.env, num_agents=self.n_test)
 
 
 def train(cfg: TrainConfig) -> TrainResult:
@@ -249,35 +241,14 @@ def evaluate(
     return records, aggregate
 
 
-def _sweep_group(args) -> list[tuple[SweepRow, list[RunRecord]]]:
-    train_cfg, members, runs, eval_max_iters, epsilon_eval, master_seed = args
-    result = train(train_cfg)
-    out = []
-    for index, n_test in members:
-        env_cfg = replace(train_cfg.env, num_agents=n_test)
-        records, agg = evaluate(
-            result.table,
-            env_cfg,
-            runs=runs,
-            eval_max_iters=eval_max_iters,
-            epsilon_eval=epsilon_eval,
-            seed=derive_seed(master_seed, 1, index),
-        )
-        row = SweepRow(
-            index=index,
-            algorithm=train_cfg.learner.algorithm,
-            n_train=train_cfg.env.num_agents,
-            n_test=n_test,
-            beta=train_cfg.env.beta,
-            mu=train_cfg.env.mu,
-            bins=train_cfg.env.bins,
-            mean_iterations=agg.mean_iterations,
-            std_iterations=agg.std_iterations,
-            convergence_rate=agg.convergence_rate,
-            runs=agg.runs,
-        )
-        out.append((row, records))
-    return out
+def _sweep_group(args) -> list[tuple[SweepCell, list[RunRecord], EvalAggregate]]:
+    cells, runs, eval_max_iters, epsilon_eval, master_seed = args
+    table = train(cells[0].train).table
+    return [
+        (cell, *evaluate(table, cell.env, runs=runs, eval_max_iters=eval_max_iters,
+                         epsilon_eval=epsilon_eval, seed=derive_seed(master_seed, 1, cell.index)))
+        for cell in cells
+    ]
 
 
 def sweep(
@@ -287,35 +258,27 @@ def sweep(
     epsilon_eval: float = 0.0,
     master_seed: int = 0,
     jobs: int = 1,
-) -> tuple[list[SweepRow], list[tuple[int, RunRecord]]]:
-    """Train and evaluate every sweep cell.
+) -> list[tuple[SweepCell, list[RunRecord], EvalAggregate]]:
+    """Train and evaluate every sweep cell; one (cell, records, aggregate) per cell.
 
     Cells that share a training configuration (cross-population testing)
-    reuse one trained table. Work is parallelized per training group up to
-    ``jobs`` workers; outputs are ordered by cell index regardless of
-    completion order.
+    reuse one trained table. Work is parallelized per training group, with
+    at most one worker per group and no more than ``jobs``; results are
+    ordered by cell index regardless of completion order.
     """
     if not cells:
         raise ConfigError("sweep grid is empty")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     check_evaluation_inputs(runs, eval_max_iters, epsilon_eval)
-    groups: dict[TrainConfig, list[tuple[int, int]]] = {}
+    groups: dict[TrainConfig, list[SweepCell]] = {}
     for cell in cells:
-        groups.setdefault(cell.train, []).append((cell.index, cell.n_test))
-    tasks = [
-        (train_cfg, members, runs, eval_max_iters, epsilon_eval, master_seed)
-        for train_cfg, members in groups.items()
-    ]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        groups.setdefault(cell.train, []).append(cell)
+    tasks = [(group, runs, eval_max_iters, epsilon_eval, master_seed) for group in groups.values()]
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             grouped = list(pool.map(_sweep_group, tasks))
     else:
         grouped = [_sweep_group(task) for task in tasks]
-    rows: list[SweepRow] = []
-    records: list[tuple[int, RunRecord]] = []
-    for group in grouped:
-        for row, cell_records in group:
-            rows.append(row)
-            records.extend((row.index, rec) for rec in cell_records)
-    rows.sort(key=lambda r: r.index)
-    records.sort(key=lambda item: (item[0], item[1].run))
-    return rows, records
+    return sorted((result for group in grouped for result in group), key=lambda r: r[0].index)

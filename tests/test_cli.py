@@ -84,7 +84,14 @@ def test_bad_value_is_rejected_by_key(tmp_path, capsys):
 
 
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):
-    assert main(["train", "--config", str(tmp_path / "nope.ini"), "--out-dir", str(tmp_path)]) == 2
+    (tmp_path / "a_directory").mkdir()
+    (tmp_path / "latin1.ini").write_bytes(b"[env]\n; \xb5 is not UTF-8\nbeta = 0.1\n")
+    for name in ("nope.ini", "a_directory", "latin1.ini"):
+        path = tmp_path / name
+        assert main(["train", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match=name):
+            load_config(str(path))
 
 
 def test_env_var_overrides_file(smoke_config, monkeypatch):
@@ -518,7 +525,10 @@ def test_sweep_empty_grid_is_config_error(tmp_path, capsys):
     ("eval_max_iters = 200", "eval_max_iters = 0"),
     ("eval_max_iters = 200", "eval_max_iters = 200\nepsilon_eval = 1.5"),
     ("runs = 5", "runs = 0"),
-], ids=["eval_max_iters", "epsilon_eval", "runs"])
+    ("runs = 5", "runs = 5\nn_test = 10, 0"),
+    ("mus = 0.01", "mus = 0.01, 0.010"),
+    ("runs = 5", "runs = 5\nn_test = 10, 5, 10"),
+], ids=["eval_max_iters", "epsilon_eval", "runs", "n_test", "repeated_mus", "repeated_n_test"])
 def test_sweep_rejects_bad_evaluation_inputs_before_training(tmp_path, monkeypatch, capsys, setting):
     import swarmherd.harness
 
@@ -533,6 +543,75 @@ def test_sweep_rejects_bad_evaluation_inputs_before_training(tmp_path, monkeypat
     assert rc == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sweep_resume_after_grid_edits_matches_fresh_run(tmp_path, monkeypatch):
+    import swarmherd.harness
+
+    evaluated = []
+    real_evaluate = swarmherd.harness.evaluate
+
+    def counting_evaluate(*args, **kwargs):
+        evaluated.append(kwargs["seed"])
+        return real_evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(swarmherd.harness, "evaluate", counting_evaluate)
+    resumed = tmp_path / "resumed"
+    config = tmp_path / "sweep.ini"
+    config.write_text(SWEEP_CONFIG)
+    assert main(["sweep", "--config", str(config), "--out-dir", str(resumed)]) == 0
+    # Each edit, with the cells --resume keeps and the cells it computes.
+    edits = [
+        (("mus = 0.01", "mus = 0.02, 0.01"), 0, 4),  # inserted at the front
+        (("mus = 0.01", "mus = 0.02, 0.01, 0.03"), 2, 4),  # appended
+        (("mus = 0.01", "mus = 0.02, 0.01, 0.03\nn_test = 10, 5"), 1, 11),  # n_test changed
+    ]
+    for step, (edit, kept, computed) in enumerate(edits):
+        config.write_text(SWEEP_CONFIG.replace(*edit))
+        evaluated.clear()
+        assert main(["sweep", "--config", str(config), "--out-dir", str(resumed), "--resume"]) == 0
+        assert len(evaluated) == computed
+        fresh = tmp_path / f"fresh{step}"
+        assert main(["sweep", "--config", str(config), "--out-dir", str(fresh)]) == 0
+        assert len(evaluated) == 2 * computed + kept
+        for name in ("demo_aggregate.csv", "demo_runs.csv"):
+            assert (resumed / name).read_bytes() == (fresh / name).read_bytes(), (step, name)
+
+
+def test_sweep_jobs_start_at_most_one_worker_per_training_group(tmp_path, sweep_config, monkeypatch,
+                                                                 capsys):
+    import swarmherd.harness
+
+    started = []
+
+    class InlinePool:
+        """Records the worker count and runs the groups in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(swarmherd.harness, "ProcessPoolExecutor", InlinePool)
+    serial = tmp_path / "serial"
+    capped = tmp_path / "capped"
+    assert main(["sweep", "--config", sweep_config, "--out-dir", str(serial)]) == 0
+    assert main(["sweep", "--config", sweep_config, "--out-dir", str(capped), "--jobs", "64"]) == 0
+    assert started == [2]  # two betas, so two training groups
+    assert (serial / "demo_runs.csv").read_bytes() == (capped / "demo_runs.csv").read_bytes()
+    for jobs in ("0", "-1"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["sweep", "--config", sweep_config, "--out-dir", str(out), "--jobs", jobs]) == 2
+        assert "jobs" in capsys.readouterr().err
+        assert not out.exists()
+    assert started == [2]
 
 
 def test_sweep_parallel_jobs_match_serial(tmp_path, sweep_config):

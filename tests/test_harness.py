@@ -257,11 +257,11 @@ def _smoke_cells(betas=(0.3, 0.4), n_tests=None):
 
 
 def test_sweep_emits_one_row_per_cell():
-    rows, records = sweep(_smoke_cells(), runs=5, eval_max_iters=200, master_seed=100)
-    assert [r.index for r in rows] == [0, 1]
-    assert [r.beta for r in rows] == [0.3, 0.4]
-    assert len(records) == 10
-    assert all(rec.iterations <= 200 for _, rec in records)
+    results = sweep(_smoke_cells(), runs=5, eval_max_iters=200, master_seed=100)
+    assert [cell.index for cell, _, _ in results] == [0, 1]
+    assert [cell.train.env.beta for cell, _, _ in results] == [0.3, 0.4]
+    assert sum(len(records) for _, records, _ in results) == 10
+    assert all(rec.iterations <= 200 for _, records, _ in results for rec in records)
 
 
 def test_sweep_cross_population_grid():
@@ -272,16 +272,17 @@ def test_sweep_cross_population_grid():
         for n_test in (5, 10):
             cells.append(SweepCell(index, cfg, n_test))
             index += 1
-    rows, _ = sweep(cells, runs=5, eval_max_iters=200, master_seed=7)
-    assert [(r.n_train, r.n_test) for r in rows] == [(5, 5), (5, 10), (10, 5), (10, 10)]
+    results = sweep(cells, runs=5, eval_max_iters=200, master_seed=7)
+    assert [(cell.train.env.num_agents, cell.n_test) for cell, _, _ in results] == [
+        (5, 5), (5, 10), (10, 5), (10, 10)
+    ]
 
 
 def test_sweep_is_reproducible_and_jobs_invariant():
-    rows1, recs1 = sweep(_smoke_cells(), runs=5, eval_max_iters=200, master_seed=42)
-    rows2, recs2 = sweep(_smoke_cells(), runs=5, eval_max_iters=200, master_seed=42)
-    rows_par, recs_par = sweep(_smoke_cells(), runs=5, eval_max_iters=200, master_seed=42, jobs=2)
-    assert rows1 == rows2 == rows_par
-    assert recs1 == recs2 == recs_par
+    results1 = sweep(_smoke_cells(), runs=5, eval_max_iters=200, master_seed=42)
+    results2 = sweep(_smoke_cells(), runs=5, eval_max_iters=200, master_seed=42)
+    results_par = sweep(_smoke_cells(), runs=5, eval_max_iters=200, master_seed=42, jobs=2)
+    assert results1 == results2 == results_par
 
 
 def test_sweep_rejects_empty_grid():
