@@ -47,17 +47,25 @@ lengths = [s.length for s in result.episodes]
 print(f"trained {train_cfg.episodes} episodes; "
       f"first ten lengths {lengths[:10]}, last ten {lengths[-10:]}")
 
-## Roll the greedy policy out once and print each step.
+## Roll the greedy policy out once and print each step. One step: look the
+## leader's move up in env.moves; if it repels, move the followers and rescore.
 env = HerdingEnv(env_cfg)
+m = env_cfg.num_vertices
 rng = np.random.default_rng(123)
 followers, leader = env.reset(rng)
-print(f"\nstart: counts={followers.tolist()} leader at v{leader.vertex}")
+followers = followers.tolist()
+sq, code = env.score(followers)
+print(f"\nstart: counts={followers} leader at v{leader.vertex}")
 for k in range(1, env_cfg.max_iterations + 1):
-    idx = env.state_index(followers, leader.vertex)
+    idx = leader.vertex + m * code
     action = greedy_action_index(result.table.values, idx, env.actions[leader.vertex])
-    followers, leader, r, terminal = env.step(followers, leader, action, rng)
+    leader = env.moves[leader.vertex][action]
+    if leader.flag:
+        followers = env.repel(followers, leader.vertex, rng)
+        sq, code = env.score(followers)
+    terminal = sq / m < env_cfg.mu
     marker = " <- target reached" if terminal else ""
-    print(f"k={k:>2} {action.label:<5} counts={followers.tolist()} "
+    print(f"k={k:>2} {action.label:<5} counts={followers} "
           f"leader=v{leader.vertex}{'*' if leader.flag else ' '}{marker}")
     if terminal:
         break

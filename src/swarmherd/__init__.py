@@ -22,12 +22,9 @@ from .environment import (
     HerdingEnv,
     apply_leader_action,
     decode_state,
-    discretize,
     encode_state,
     largest_remainder_counts,
-    mse,
     num_states,
-    reward,
     valid_actions,
 )
 from .graph import Graph, is_strongly_connected, make_grid, out_neighbors
@@ -47,11 +44,7 @@ from .learner import (
     LearnerConfig,
     QTable,
     load_qtable,
-    q_lookup,
     save_qtable,
-    select_action,
-    update_qlearning,
-    update_sarsa,
 )
 
 __version__ = "0.1.0"
@@ -75,7 +68,6 @@ __all__ = [
     "apply_leader_action",
     "decode_state",
     "derive_seed",
-    "discretize",
     "empirical_distribution",
     "encode_state",
     "evaluate",
@@ -85,17 +77,11 @@ __all__ = [
     "load_qtable",
     "make_grid",
     "mean_field_step",
-    "mse",
     "num_states",
     "out_neighbors",
-    "q_lookup",
-    "reward",
     "save_qtable",
-    "select_action",
     "step_dtmc",
     "sweep",
     "train",
-    "update_qlearning",
-    "update_sarsa",
     "valid_actions",
 ]

@@ -22,7 +22,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -129,14 +129,7 @@ DEFAULTS = {
         "initial_dist": (0.4, 0.1, 0.1, 0.4),
         "target_dist": (0.1, 0.4, 0.4, 0.1),
     },
-    "learner": {
-        "algorithm": "qlearning",
-        "alpha": 0.3,
-        "gamma": 0.9,
-        "epsilon": 0.1,
-        "epsilon_decay": False,
-        "epsilon_final": 0.01,
-    },
+    "learner": {f.name: f.default for f in fields(LearnerConfig)},
     "train": {"episodes": 5000, "max_iters": 5000, "seed": 12345},
     "sweep": {
         "name": "sweep",
@@ -210,15 +203,7 @@ def build_env_config(cfg: dict, num_agents: int | None = None, backend: str | No
 
 
 def build_learner_config(cfg: dict) -> LearnerConfig:
-    lrn = cfg["learner"]
-    return LearnerConfig(
-        alpha=lrn["alpha"],
-        gamma=lrn["gamma"],
-        epsilon=lrn["epsilon"],
-        algorithm=lrn["algorithm"],
-        epsilon_decay=lrn["epsilon_decay"],
-        epsilon_final=lrn["epsilon_final"],
-    )
+    return LearnerConfig(**cfg["learner"])
 
 
 def build_train_config(cfg: dict, backend: str | None = None) -> TrainConfig:

@@ -12,6 +12,7 @@ post-step distribution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple, Sequence
@@ -23,10 +24,8 @@ from .dynamics import (
     LeaderState,
     TransitionRates,
     follower_transition_probs,
-    mean_field_step,
     repel_counts,
     repel_density,
-    step_dtmc,
 )
 from .errors import ConfigError, EncodingError, InvalidActionError
 from .graph import Graph, make_grid
@@ -100,36 +99,6 @@ def apply_leader_action(g: Graph, leader: LeaderState, action: Action) -> Leader
     dr, dc = _MOVES[action]
     r, c = divmod(leader.vertex, g.cols)
     return LeaderState((r + dr) * g.cols + (c + dc), 0)
-
-
-def reward(current: np.ndarray, target: np.ndarray) -> float:
-    """Negative squared Euclidean distance between the two distributions.
-
-    Always <= 0, and 0 exactly when the distributions coincide.
-    """
-    diff = np.asarray(current, dtype=np.float64) - np.asarray(target, dtype=np.float64)
-    return -float(np.dot(diff, diff))
-
-
-def mse(current: np.ndarray, target: np.ndarray) -> float:
-    """Per-vertex mean of the squared distribution error.
-
-    An episode is terminal once this drops below the configured threshold;
-    ``reward == -M * mse`` by construction.
-    """
-    diff = np.asarray(current, dtype=np.float64) - np.asarray(target, dtype=np.float64)
-    return float(np.dot(diff, diff)) / float(len(diff))
-
-
-def discretize(density: np.ndarray, bins: int) -> np.ndarray:
-    """Quantize vertex fractions to integers in [0, bins].
-
-    Uses round-half-away-from-zero, so a fraction of 0.24 with bins=10 maps
-    to 2 and a fraction of 0.05 maps to 1.
-    """
-    density = np.asarray(density, dtype=np.float64)
-    f = np.floor(bins * density + 0.5).astype(np.int64)
-    return np.clip(f, 0, bins)
 
 
 class DiscretizedState(NamedTuple):
@@ -223,8 +192,8 @@ class EnvConfig:
             raise ConfigError("num_agents must be at least 1")
         if self.bins < 1:
             raise ConfigError("bins must be at least 1")
-        if self.mu <= 0.0:
-            raise ConfigError("mu must be positive")
+        if not 0.0 < self.mu < math.inf:
+            raise ConfigError(f"mu={self.mu} invalid: need a positive finite value")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be at least 1")
         if self.backend not in BACKENDS:
@@ -237,7 +206,8 @@ class EnvConfig:
         for name, dist in (("initial_dist", self.initial_dist), ("target_dist", self.target_dist)):
             if len(dist) != self.num_vertices:
                 raise ConfigError(f"{name} must have {self.num_vertices} entries")
-            if min(dist) < 0.0 or abs(sum(dist) - 1.0) > SIMPLEX_ATOL:
+            # Written so that a NaN entry fails: every comparison with NaN is false.
+            if not all(0.0 <= x <= 1.0 for x in dist) or abs(sum(dist) - 1.0) > SIMPLEX_ATOL:
                 raise ConfigError(f"{name} is not a probability distribution")
 
     @property
@@ -248,15 +218,14 @@ class EnvConfig:
 class HerdingEnv:
     """Grid graph, rates, and per-vertex lookup tables bundled for fast stepping.
 
-    Instances hold no episode state: :meth:`reset` and :meth:`step` take and
-    return the (followers, leader) pair explicitly, so one env can serve any
-    number of concurrent episodes as long as each uses its own random stream.
-
-    The training, evaluation and simulate loops step on plain Python values
-    instead: ``action_ids[v]`` (the valid actions at v as ints), ``moves[v][a]``
-    (the leader state after action a at v), :meth:`repel` on a followers list,
-    and :meth:`score`. A move leaves the followers unchanged, so only a repel
-    step needs a new score.
+    Instances hold no episode state, so one env can serve any number of
+    concurrent episodes as long as each uses its own random stream. One
+    iteration, as the training, evaluation and simulate loops run it on plain
+    Python values: ``moves[v][a]`` gives the leader state after action a at v
+    (``action_ids[v]`` lists the valid a as ints); if its flag is up,
+    :meth:`repel` moves the followers list and :meth:`score` rates the result.
+    A move leaves the followers unchanged, so only a repel step needs a new
+    score.
     """
 
     def __init__(self, cfg: EnvConfig):
@@ -312,8 +281,9 @@ class HerdingEnv:
         """``(sq, code)`` for a followers list (counts or densities).
 
         The reward is ``-sq`` and the episode is terminal once ``sq / M < mu``;
-        ``v + M * code`` is the table index with the leader at v, the
-        :func:`encode_state` of :func:`discretize`. ``sq`` goes through
+        ``v + M * code`` is the table index with the leader at v: the
+        :func:`encode_state` of the fractions rounded half away from zero to
+        ``bins`` steps, clipped to ``bins``. ``sq`` goes through
         ``np.dot``: its summation order sets the low bits of every reward.
         """
         n = self._scale
@@ -327,53 +297,6 @@ class HerdingEnv:
             code += (f if f < bins else bins) * weight
         d = np.array(diff)
         return float(np.dot(d, d)), code
-
-    def step(
-        self,
-        followers: np.ndarray,
-        leader: LeaderState,
-        action: Action,
-        rng: np.random.Generator,
-    ) -> tuple[np.ndarray, LeaderState, float, bool]:
-        """One iteration: move the leader, let followers react, score the result.
-
-        Returns (followers', leader', reward, terminal). The reward is the
-        negative squared distance of the post-step distribution from the
-        target; terminal once its per-vertex mean drops below mu. The
-        followers step through :func:`step_dtmc` or :func:`mean_field_step`,
-        so a density off the simplex raises SimplexError.
-        """
-        try:
-            leader = self.moves[leader.vertex][action]
-        except KeyError:
-            raise InvalidActionError(
-                f"{getattr(action, 'label', action)} is not available at vertex {leader.vertex}"
-            ) from None
-        if self._counts_backend:
-            followers = step_dtmc(self.graph, self.rates, leader, followers, rng)
-        else:
-            followers = mean_field_step(self.graph, self.rates, leader, followers)
-        sq, _ = self.score(followers.tolist())
-        return followers, leader, -sq, sq / self._m < self.cfg.mu
-
-    def observe(self, followers: np.ndarray) -> np.ndarray:
-        """The distribution the leader sees: empirical fractions or the density itself."""
-        if self._counts_backend:
-            return followers / self.cfg.num_agents
-        return np.asarray(followers, dtype=np.float64)
-
-    def mse_to_target(self, followers: np.ndarray) -> float:
-        sq, _ = self.score(np.asarray(followers).tolist())
-        return sq / self._m
-
-    def state_index(self, followers: np.ndarray, leader_vertex: int) -> int:
-        """Encoded table index of the discretized observation.
-
-        Equals encode_state(DiscretizedState(discretize(observe(...)), v)),
-        through the code of :meth:`score`.
-        """
-        _, code = self.score(np.asarray(followers).tolist())
-        return leader_vertex + self._m * code
 
 
 def format_float(x: float) -> str:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .environment import EnvConfig, HerdingEnv
+from .environment import NUM_ACTIONS, EnvConfig, HerdingEnv
 from .errors import CompatibilityError, ConfigError
 from .learner import (
     LearnerConfig,
@@ -105,9 +105,9 @@ def train(cfg: TrainConfig) -> TrainResult:
     step, after the previous update, so it draws nothing after the cap.
     Deterministic for a fixed seed.
 
-    The step is :meth:`HerdingEnv.step` on plain values: followers stay a
-    list, and only a repel step moves them, so a move step keeps the previous
-    reward, terminal test and follower code.
+    Each step runs the :class:`HerdingEnv` kernels on plain values: followers
+    stay a list, and only a repel step moves them, so a move step keeps the
+    previous reward, terminal test and follower code.
     """
     env = HerdingEnv(cfg.env)
     table = QTable.zeros(cfg.env.bins, cfg.env.rows, cfg.env.cols)
@@ -170,10 +170,12 @@ def check_compatible(table: QTable, env_cfg: EnvConfig) -> None:
         or table.cols != env_cfg.cols
         or table.bins != env_cfg.bins
         or table.num_vertices != env_cfg.num_vertices
+        or table.num_actions != NUM_ACTIONS
     ):
         raise CompatibilityError(
-            f"table (grid {table.rows}x{table.cols}, bins {table.bins}) does not match "
-            f"environment (grid {env_cfg.rows}x{env_cfg.cols}, bins {env_cfg.bins})"
+            f"table (grid {table.rows}x{table.cols}, bins {table.bins}, "
+            f"{table.num_actions} actions) does not match environment (grid "
+            f"{env_cfg.rows}x{env_cfg.cols}, bins {env_cfg.bins}, {NUM_ACTIONS} actions)"
         )
 
 

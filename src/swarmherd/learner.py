@@ -1,8 +1,9 @@
-"""Tabular state-action values with SARSA / Q-Learning updates and ε-greedy selection.
+"""Tabular state-action values: ε-greedy selection, the TD write and the table file.
 
 The table is a dense (num_states, num_actions) float64 array indexed by the
 mixed-radix state encoding; argmax and max always range over the actions
-valid at the relevant leader vertex, never the full action set.
+valid at the relevant leader vertex, never the full action set. SARSA and
+Q-Learning differ only in the target they pass to :func:`td_update`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .environment import NUM_ACTIONS, Action, DiscretizedState, encode_state, num_states
+from .environment import NUM_ACTIONS, Action, num_states
 from .errors import (
     ConfigError,
     QTableDimensionError,
@@ -99,14 +100,6 @@ class LearnerConfig:
         return self.epsilon + (self.epsilon_final - self.epsilon) * frac
 
 
-def q_lookup(q: QTable, state: DiscretizedState, action: Action | int) -> float:
-    """Stored value for (state, action); fresh tables return 0."""
-    a = int(action)
-    if not 0 <= a < q.num_actions:
-        raise IndexError(f"action index {a} out of range for {q.num_actions} actions")
-    return float(q.values[encode_state(state, q.bins, q.num_vertices), a])
-
-
 def greedy_action_index(
     values: np.ndarray, state_index: int, valid: Sequence[Action]
 ) -> Action:
@@ -132,7 +125,12 @@ def max_action_value(values: np.ndarray, state_index: int, valid: Sequence[Actio
 
 
 def td_update(values: np.ndarray, s: int, a: int, target: float, alpha: float) -> None:
-    """The TD write ``Q(s,a) += alpha * (target - Q(s,a))``, in place, on plain floats."""
+    """The TD write ``Q(s,a) += alpha * (target - Q(s,a))``, in place, on plain floats.
+
+    The target is ``r`` at a terminal step, else ``r + gamma * Q(s',a')`` for
+    SARSA and ``r + gamma * max_action_value(values, s', valid')`` for
+    Q-Learning.
+    """
     q = values.item(s, a)
     values[s, a] = q + alpha * (target - q)
 
@@ -144,79 +142,15 @@ def select_action_index(
     epsilon: float,
     rng: np.random.Generator,
 ) -> Action:
-    """ε-greedy selection working directly on a values array and state index.
+    """ε-greedy selection over the valid actions at a state.
 
-    Draws X uniform on [0, 1) first and the explore index second, so every
-    caller consumes the random stream in the same order.
+    Draws X uniform on [0, 1) first: above epsilon it exploits (greedy with
+    the canonical tie-break), otherwise it draws a uniform explore index, so
+    every caller consumes the random stream in the same order.
     """
     if rng.random() > epsilon:
         return greedy_action_index(values, state_index, valid)
     return valid[int(rng.integers(len(valid)))]
-
-
-def select_action(
-    q: QTable,
-    state: DiscretizedState,
-    valid: Sequence[Action],
-    epsilon: float,
-    rng: np.random.Generator,
-) -> Action:
-    """ε-greedy selection over the valid actions.
-
-    Exploits (greedy with canonical tie-break) when the uniform draw exceeds
-    epsilon, otherwise picks a valid action uniformly at random.
-    """
-    if not valid:
-        raise ValueError("no valid actions to select from")
-    return select_action_index(
-        q.values, encode_state(state, q.bins, q.num_vertices), valid, epsilon, rng
-    )
-
-
-def update_sarsa(
-    q: QTable,
-    state: DiscretizedState,
-    action: Action | int,
-    reward_value: float,
-    next_state: DiscretizedState | None,
-    next_action: Action | int | None,
-    cfg: LearnerConfig,
-    terminal: bool = False,
-) -> QTable:
-    """On-policy update: Q(s,a) += alpha * (r + gamma * Q(s',a') - Q(s,a)).
-
-    Modifies exactly one entry, in place. With ``terminal`` the bootstrap
-    term is dropped (terminal successors carry no value).
-    """
-    target = reward_value
-    if not terminal:
-        s2 = encode_state(next_state, q.bins, q.num_vertices)
-        target = reward_value + cfg.gamma * q.values.item(s2, int(next_action))
-    td_update(q.values, encode_state(state, q.bins, q.num_vertices), int(action), target, cfg.alpha)
-    return q
-
-
-def update_qlearning(
-    q: QTable,
-    state: DiscretizedState,
-    action: Action | int,
-    reward_value: float,
-    next_state: DiscretizedState | None,
-    next_valid: Sequence[Action],
-    cfg: LearnerConfig,
-    terminal: bool = False,
-) -> QTable:
-    """Off-policy update: Q(s,a) += alpha * (r + gamma * max_a' Q(s',a') - Q(s,a)).
-
-    The max ranges only over the actions valid at the successor's leader
-    vertex. Modifies exactly one entry, in place.
-    """
-    target = reward_value
-    if not terminal:
-        s2 = encode_state(next_state, q.bins, q.num_vertices)
-        target = reward_value + cfg.gamma * max_action_value(q.values, s2, next_valid)
-    td_update(q.values, encode_state(state, q.bins, q.num_vertices), int(action), target, cfg.alpha)
-    return q
 
 
 def save_qtable(q: QTable, destination, extra_meta: Mapping | None = None) -> None:

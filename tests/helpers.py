@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from swarmherd import EnvConfig, LearnerConfig, TrainConfig
+from swarmherd import EnvConfig, HerdingEnv, LearnerConfig, TrainConfig
 
 # The headline experiment: herd 100 agents on a 2x2 grid from a corner-heavy
 # distribution to its mirror image.
@@ -58,3 +58,14 @@ def smoke_train(algorithm="qlearning", episodes=50, seed=5, env=None, **env_over
         max_iters_per_episode=200,
         seed=seed,
     )
+
+
+def kernel_step(env: HerdingEnv, followers: list, leader, action, rng):
+    """One iteration on the kernels the loops run: ``moves``, then ``repel``
+    and ``score`` when the leader repels. Returns (followers', leader',
+    reward, terminal); a move rescores the unchanged followers."""
+    leader = env.moves[leader.vertex][action]
+    if leader.flag:
+        followers = env.repel(followers, leader.vertex, rng)
+    sq, _ = env.score(followers)
+    return followers, leader, -sq, sq / env.cfg.num_vertices < env.cfg.mu

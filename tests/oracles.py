@@ -1,9 +1,13 @@
 """Independent reference implementations used to cross-check the library.
 
 These deliberately take the slow, explicit route: the mean-field oracle
-builds one routing matrix per edge and sums them, and the policy oracle
-runs exhaustive value iteration over every encoded state instead of
-temporal-difference learning.
+builds one routing matrix per edge and sums them, the policy oracle runs
+exhaustive value iteration over every encoded state instead of
+temporal-difference learning, and the step, state, selection and TD
+references below spell out on numpy arrays what the training, evaluation
+and simulate loops do on plain values. None of them calls the loop kernels
+(``HerdingEnv.repel``/``score``, ``td_update``, ``max_action_value``,
+``greedy_action_index``), so a fault there shows as a mismatch.
 """
 
 from __future__ import annotations
@@ -15,16 +19,93 @@ from swarmherd import (
     LeaderState,
     apply_leader_action,
     mean_field_step,
+    step_dtmc,
 )
 from swarmherd.environment import (
     DiscretizedState,
     decode_state,
-    discretize,
     encode_state,
-    mse,
     num_states,
-    reward,
 )
+
+
+def reward(current, target) -> float:
+    """Negative squared Euclidean distance between two distributions.
+
+    ``np.dot`` like the library, whose summation order sets the low bits.
+    """
+    diff = np.asarray(current, dtype=np.float64) - np.asarray(target, dtype=np.float64)
+    return -float(np.dot(diff, diff))
+
+
+def mse(current, target) -> float:
+    """Per-vertex mean of the squared distribution error."""
+    diff = np.asarray(current, dtype=np.float64) - np.asarray(target, dtype=np.float64)
+    return float(np.dot(diff, diff)) / float(len(diff))
+
+
+def discretize(density, bins: int) -> np.ndarray:
+    """Vertex fractions rounded half away from zero to integers in [0, bins]."""
+    f = np.floor(bins * np.asarray(density, dtype=np.float64) + 0.5).astype(np.int64)
+    return np.clip(f, 0, bins)
+
+
+def observe(env: HerdingEnv, followers) -> np.ndarray:
+    """The distribution the leader sees: empirical fractions or the density itself."""
+    if env.cfg.backend == "dtmc":
+        return np.asarray(followers) / env.cfg.num_agents
+    return np.asarray(followers, dtype=np.float64)
+
+
+def state_index(env: HerdingEnv, followers, leader_vertex: int) -> int:
+    """Table row of an observation: encode_state of its discretized fractions."""
+    cfg = env.cfg
+    fractions = tuple(int(x) for x in discretize(observe(env, followers), cfg.bins))
+    return encode_state(DiscretizedState(fractions, leader_vertex), cfg.bins, cfg.num_vertices)
+
+
+def reference_step(env: HerdingEnv, followers, leader: LeaderState, action, rng):
+    """One iteration through the documented propagators.
+
+    Returns (followers', leader', reward, terminal); the followers step
+    through ``step_dtmc`` or ``mean_field_step``, which draw from ``rng``
+    only when the leader repels.
+    """
+    leader = apply_leader_action(env.graph, leader, action)
+    if env.cfg.backend == "dtmc":
+        followers = step_dtmc(env.graph, env.rates, leader, followers, rng)
+    else:
+        followers = mean_field_step(env.graph, env.rates, leader, followers)
+    dist = observe(env, followers)
+    return followers, leader, reward(dist, env.target), mse(dist, env.target) < env.cfg.mu
+
+
+def masked_argmax(values: np.ndarray, s: int, valid) -> int:
+    """First valid action with the largest value in row s."""
+    best = valid[0]
+    for a in valid:
+        if values[s, a] > values[s, best]:
+            best = a
+    return best
+
+
+def select(values: np.ndarray, s: int, valid, epsilon: float, rng):
+    """ε-greedy: draw X first; exploit when X > epsilon, else draw an explore index."""
+    if rng.random() > epsilon:
+        return masked_argmax(values, s, valid)
+    return valid[int(rng.integers(len(valid)))]
+
+
+def sarsa_write(values, s, a, r, s2, a2, alpha, gamma, terminal=False) -> None:
+    """Q(s,a) += alpha * (r + gamma * Q(s',a') - Q(s,a)); target r when terminal."""
+    target = r if terminal else r + gamma * values[s2, a2]
+    values[s, a] += alpha * (target - values[s, a])
+
+
+def qlearning_write(values, s, a, r, s2, valid2, alpha, gamma, terminal=False) -> None:
+    """Q(s,a) += alpha * (r + gamma * max over valid a' of Q(s',a') - Q(s,a))."""
+    target = r if terminal else r + gamma * max(values[s2, b] for b in valid2)
+    values[s, a] += alpha * (target - values[s, a])
 
 
 def mean_field_matrix_step(g, rates, leader, density):

@@ -28,14 +28,12 @@ from swarmherd import (
     mean_field_step,
     step_dtmc,
     train,
-    update_qlearning,
-    update_sarsa,
     valid_actions,
 )
 from swarmherd.cli import main
 from swarmherd.dynamics import TransitionRates
 from swarmherd.environment import decode_state, encode_state, num_states
-from swarmherd.learner import greedy_action_index
+from swarmherd.learner import greedy_action_index, max_action_value, td_update
 
 from helpers import HEADLINE_INITIAL, headline_env, smoke_env
 from oracles import PolicyOracle, mean_field_matrix_step
@@ -96,15 +94,17 @@ def n10_table():
 
 
 def test_criterion_01_update_rule_oracles():
-    s = DiscretizedState((4, 1, 1, 4), 0)
-    s2 = DiscretizedState((3, 2, 1, 4), 1)
+    # The TD write of the training loop, with each algorithm's target.
+    s = encode_state(DiscretizedState((4, 1, 1, 4), 0), 10, 4)
+    s2 = encode_state(DiscretizedState((3, 2, 1, 4), 1), 10, 4)
     cfg = LearnerConfig(alpha=0.3, gamma=0.9)
-    q = QTable.zeros(10, 2, 2)
-    update_sarsa(q, s, Action.STAY, -0.36, s2, Action.LEFT, cfg)
-    sarsa_value = float(q.values[encode_state(s, 10, 4), Action.STAY])
-    q = QTable.zeros(10, 2, 2)
-    update_qlearning(q, s, Action.STAY, -0.36, s2, (Action.LEFT, Action.STAY), cfg)
-    ql_value = float(q.values[encode_state(s, 10, 4), Action.STAY])
+    values = QTable.zeros(10, 2, 2).values
+    td_update(values, s, Action.STAY, -0.36 + cfg.gamma * values.item(s2, Action.LEFT), cfg.alpha)
+    sarsa_value = values.item(s, Action.STAY)
+    values = QTable.zeros(10, 2, 2).values
+    best = max_action_value(values, s2, (Action.LEFT, Action.STAY))
+    td_update(values, s, Action.STAY, -0.36 + cfg.gamma * best, cfg.alpha)
+    ql_value = values.item(s, Action.STAY)
     ok = sarsa_value == -0.108 and ql_value == -0.108
     report(1, ok, f"single-step updates: sarsa={sarsa_value!r}, qlearning={ql_value!r}")
 

@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from swarmherd import HerdingEnv, load_qtable, mse, reward
+from swarmherd import Action, HerdingEnv, QTable, decode_state, load_qtable, save_qtable
 from swarmherd.cli import build_env_config, expand_sweep, load_config, main, render_frame
 from swarmherd.environment import trace_header, trace_row
 from swarmherd.errors import ConfigError
-from swarmherd.learner import select_action_index
+
+import oracles
 
 SMOKE_CONFIG = """\
 [graph]
@@ -81,6 +82,17 @@ def test_bad_value_is_rejected_by_key(tmp_path, capsys):
     path.write_text("[env]\nbeta = chunky\n")
     assert main(["train", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
     assert "beta" in capsys.readouterr().err
+
+
+def test_non_finite_env_value_is_a_config_error(tmp_path, capsys):
+    for line in ("initial_dist = nan, 0.5, 0.25, 0.25", "target_dist = 0.1, 0.4, 0.4, nan",
+                 "mu = nan", "mu = inf"):
+        path = tmp_path / "nan.ini"
+        path.write_text(f"[env]\n{line}\n")
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(path), "--out-dir", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):
@@ -230,6 +242,20 @@ def test_evaluate_dimension_mismatch_is_compat_error(tmp_path, smoke_config, tra
     assert rc == 4
 
 
+@pytest.mark.parametrize("actions", [3, 9])
+def test_table_with_another_action_count_is_compat_error(
+    tmp_path, smoke_config, actions, capsys
+):
+    table = tmp_path / f"a{actions}.swhq"
+    save_qtable(QTable.zeros(2, 1, 2, actions=actions), table)
+    for command in (["evaluate", str(table), "--runs", "5"],
+                    ["simulate", "--policy", "greedy", str(table)]):
+        out = tmp_path / command[0]
+        assert main([*command, "--config", smoke_config, "--out-dir", str(out)]) == 4
+        assert f"{actions} actions) does not match" in capsys.readouterr().err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--eval-max-iters", "-3"],
     ["--eval-max-iters", "0"],
@@ -359,15 +385,15 @@ def test_simulate_frames_show_initial_counts_and_target(tmp_path, capsys):
 
 
 def _reference_simulate(env_cfg, values, epsilon, seed):
-    """trace.csv and the frames, rebuilt step by step on HerdingEnv.step."""
+    """trace.csv and the frames, rebuilt step by step on the reference step."""
     env = HerdingEnv(env_cfg)
     rng = np.random.default_rng(seed)
     followers, leader = env.reset(rng)
-    density = env.observe(followers)
-    m = mse(density, env.target)
+    density = oracles.observe(env, followers)
+    m = oracles.mse(density, env.target)
     terminal = m < env_cfg.mu
     lines = [trace_header(env_cfg), trace_row(0, leader, None, followers,
-                                              reward(density, env.target), m, terminal)]
+                                              oracles.reward(density, env.target), m, terminal)]
     frames = [render_frame(env, 0, None, followers, leader, m)]
     for k in range(1, env_cfg.max_iterations + 1):
         if terminal:
@@ -376,36 +402,49 @@ def _reference_simulate(env_cfg, values, epsilon, seed):
         if values is None:
             action = valid[int(rng.integers(len(valid)))]
         else:
-            s = env.state_index(followers, leader.vertex)
-            action = select_action_index(values, s, valid, epsilon, rng)
-        followers, leader, r, terminal = env.step(followers, leader, action, rng)
-        m = env.mse_to_target(followers)
+            s = oracles.state_index(env, followers, leader.vertex)
+            action = oracles.select(values, s, valid, epsilon, rng)
+        followers, leader, r, terminal = oracles.reference_step(env, followers, leader, action, rng)
+        m = oracles.mse(oracles.observe(env, followers), env.target)
         lines.append(trace_row(k, leader, action, followers, r, m, terminal))
         frames.append(render_frame(env, k, action, followers, leader, m))
     return "\n".join(lines) + "\n", "\n\n".join(frames), terminal
 
 
 def test_simulate_matches_step_by_step_reference(tmp_path, smoke_config, trained_dir, capsys):
-    table = str(trained_dir / "qtable.swhq")
+    trained = str(trained_dir / "qtable.swhq")
+    # A policy that reads the fractions, so a stale state shows: at v0 repel
+    # only while v0 is full, at v1 while v1 holds anyone, else walk across.
+    reading = str(tmp_path / "reading.swhq")
+    q = QTable.zeros(2, 1, 2)
+    for idx in range(q.state_count):
+        (f0, f1), v = decode_state(idx, 2, 2)
+        if (f0 == 2) if v == 0 else (f1 >= 1):
+            q.values[idx, Action.STAY] = 1.0
+        else:
+            q.values[idx, Action.RIGHT if v == 0 else Action.LEFT] = 1.0
+    save_qtable(q, reading)
     capped = tmp_path / "capped.ini"
     capped.write_text(SMOKE_CONFIG.replace("max_iterations = 200", "max_iterations = 6"))
     outcomes = set()
     for backend in ("dtmc", "mean-field"):
-        for policy, config, epsilon, seed in (
-            ("greedy", smoke_config, 0.2, 4),
-            ("greedy", str(capped), 0.0, 4),
-            ("random", smoke_config, 0.0, 3),
-            ("random", str(capped), 0.0, 8),
+        for table, config, epsilon, seed in (
+            (trained, smoke_config, 0.2, 4),
+            (trained, str(capped), 0.0, 4),
+            (reading, smoke_config, 0.0, 5),
+            (None, smoke_config, 0.0, 3),
+            (None, str(capped), 0.0, 8),
         ):
+            policy = "random" if table is None else "greedy"
             out = tmp_path / f"{backend}-{policy}-{seed}-{epsilon}"
             args = ["simulate", "--policy", policy, "--config", config, "--backend", backend,
                     "--seed", str(seed), "--epsilon-eval", str(epsilon),
                     "--out-dir", str(out), "--frames"]
             capsys.readouterr()
-            assert main(args + ([table] if policy == "greedy" else [])) == 0
+            assert main(args + ([table] if table else [])) == 0
             shown = capsys.readouterr().out
             env_cfg = build_env_config(load_config(config), backend=backend)
-            values = load_qtable(table).values if policy == "greedy" else None
+            values = load_qtable(table).values if table else None
             trace, frames, converged = _reference_simulate(env_cfg, values, epsilon, seed)
             assert (out / "trace.csv").read_text() == trace
             rows = trace.splitlines()

@@ -4,24 +4,23 @@ import pytest
 from swarmherd import (
     Action,
     DiscretizedState,
+    EnvConfig,
     HerdingEnv,
     LeaderState,
     apply_leader_action,
     decode_state,
-    discretize,
     empirical_distribution,
     encode_state,
     largest_remainder_counts,
     make_grid,
-    mse,
     num_states,
-    reward,
     valid_actions,
 )
 from swarmherd.environment import trace_header, trace_row
 from swarmherd.errors import ConfigError, EncodingError, InvalidActionError
 
-from helpers import HEADLINE_INITIAL, HEADLINE_TARGET, headline_env, smoke_env
+import oracles
+from helpers import HEADLINE_INITIAL, HEADLINE_TARGET, headline_env, kernel_step, smoke_env
 
 
 @pytest.fixture(scope="module")
@@ -74,29 +73,48 @@ def test_apply_invalid_move_raises(grid):
         apply_leader_action(grid, LeaderState(3, 0), Action.RIGHT)
 
 
-# --- reward and mse ----------------------------------------------------------
+# --- reward, mse and discretization, read through HerdingEnv.score ------------
+
+def density_env(target, bins=10) -> HerdingEnv:
+    """A mean-field env on the smallest grid with len(target) vertices, so
+    ``score`` reads densities as they are."""
+    rows, cols = {2: (1, 2), 4: (2, 2), 6: (2, 3), 9: (3, 3)}[len(target)]
+    uniform = tuple(1.0 / len(target) for _ in target)
+    return HerdingEnv(EnvConfig(rows, cols, 10, 0.1, bins, 0.0025, uniform, tuple(target),
+                                backend="mean-field"))
+
+
+def reward_and_mse(current, target):
+    sq, _ = density_env(target).score(list(current))
+    return -sq, sq / len(target)
+
+
+def discretized(density, bins):
+    """The fractions ``score`` encodes, decoded with the leader at vertex 0."""
+    m = len(density)
+    _, code = density_env(tuple(1.0 / m for _ in density), bins).score(list(density))
+    return list(decode_state(m * code, bins, m).fractions)
+
 
 def test_reward_identity_is_zero():
-    t = np.array(HEADLINE_TARGET)
-    assert reward(t, t) == 0.0
+    assert reward_and_mse(HEADLINE_TARGET, HEADLINE_TARGET)[0] == 0.0
 
 
 def test_reward_headline_distributions():
-    assert abs(reward(np.array(HEADLINE_INITIAL), np.array(HEADLINE_TARGET)) - (-0.36)) < 1e-12
+    assert abs(reward_and_mse(HEADLINE_INITIAL, HEADLINE_TARGET)[0] - (-0.36)) < 1e-12
 
 
 def test_reward_maximal_two_vertex():
-    assert reward(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == -2.0
+    assert reward_and_mse([1.0, 0.0], [0.0, 1.0])[0] == -2.0
 
 
 def test_mse_examples():
-    t = np.array(HEADLINE_TARGET)
-    assert mse(t, t) == 0.0
-    assert abs(mse(np.array(HEADLINE_INITIAL), t) - 0.09) < 1e-12
+    assert reward_and_mse(HEADLINE_TARGET, HEADLINE_TARGET)[1] == 0.0
+    assert abs(reward_and_mse(HEADLINE_INITIAL, HEADLINE_TARGET)[1] - 0.09) < 1e-12
     # one agent out of ten displaced between a vertex pair
-    a = np.array([0.1, 0.4, 0.4, 0.1])
-    b = np.array([0.2, 0.3, 0.4, 0.1])
-    assert abs(mse(a, b) - 0.005) < 1e-12
+    a = [0.1, 0.4, 0.4, 0.1]
+    b = [0.2, 0.3, 0.4, 0.1]
+    assert abs(reward_and_mse(a, b)[1] - 0.005) < 1e-12
 
 
 def test_reward_is_minus_m_times_mse():
@@ -104,20 +122,21 @@ def test_reward_is_minus_m_times_mse():
     for m in (2, 4, 6):
         for _ in range(50):
             a, b = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(m))
-            assert abs(reward(a, b) + m * mse(a, b)) < 1e-12
+            r, e = reward_and_mse(a, b)
+            assert r == oracles.reward(a, b)
+            assert e == oracles.mse(a, b)
+            assert abs(r + m * e) < 1e-12
 
-
-# --- discretization and encoding ----------------------------------------------
 
 def test_discretize_examples():
-    assert discretize(np.array([0.24, 0.76]), 10).tolist() == [2, 8]
-    assert discretize(np.array([0.0, 1.0]), 10).tolist() == [0, 10]
-    assert discretize(np.array(HEADLINE_INITIAL), 20).tolist() == [8, 2, 2, 8]
+    assert discretized([0.24, 0.76], 10) == [2, 8]
+    assert discretized([0.0, 1.0], 10) == [0, 10]
+    assert discretized(HEADLINE_INITIAL, 20) == [8, 2, 2, 8]
 
 
 def test_discretize_rounds_half_away_from_zero():
-    assert discretize(np.array([0.05, 0.95]), 10).tolist() == [1, 10]
-    assert discretize(np.array([0.25, 0.75]), 2).tolist() == [1, 2]
+    assert discretized([0.05, 0.95], 10) == [1, 10]
+    assert discretized([0.25, 0.75], 2) == [1, 2]
 
 
 def test_discretize_rounding_slack_is_bounded():
@@ -126,9 +145,11 @@ def test_discretize_rounding_slack_is_bounded():
     for m in (2, 4, 9):
         for bins in (1, 2, 10, 20):
             for _ in range(50):
-                f = discretize(rng.dirichlet(np.ones(m)), bins)
-                assert np.all(f >= 0) and np.all(f <= bins)
-                assert abs(int(f.sum()) - bins) <= m
+                density = rng.dirichlet(np.ones(m))
+                f = discretized(density, bins)
+                assert f == oracles.discretize(density, bins).tolist()
+                assert min(f) >= 0 and max(f) <= bins
+                assert abs(sum(f) - bins) <= m
 
 
 def test_encode_examples():
@@ -196,14 +217,13 @@ def test_reset_mean_field_returns_initial_exactly():
     assert followers.tolist() == list(HEADLINE_INITIAL)
 
 
-# --- HerdingEnv.step ----------------------------------------------------------
+# --- one iteration on the loop kernels ------------------------------------------
 
 def test_env_step_mean_field_stay_example():
-    cfg = headline_env(backend="mean-field")
+    env = HerdingEnv(headline_env(backend="mean-field"))
     rng = np.random.default_rng(0)
-    followers = np.array(HEADLINE_INITIAL)
-    followers2, leader2, r, terminal = HerdingEnv(cfg).step(
-        followers, LeaderState(0, 0), Action.STAY, rng
+    followers2, leader2, r, terminal = kernel_step(
+        env, list(HEADLINE_INITIAL), LeaderState(0, 0), Action.STAY, rng
     )
     assert np.allclose(followers2, [0.32, 0.14, 0.14, 0.40], atol=1e-15)
     assert leader2 == LeaderState(0, 1)
@@ -212,14 +232,15 @@ def test_env_step_mean_field_stay_example():
 
 
 def test_env_step_at_target_with_passive_move():
-    cfg = headline_env(backend="mean-field")
-    followers = np.array(HEADLINE_TARGET)
-    followers2, leader2, r, terminal = HerdingEnv(cfg).step(
-        followers, LeaderState(0, 0), Action.RIGHT, np.random.default_rng(0)
+    env = HerdingEnv(headline_env(backend="mean-field"))
+    followers = list(HEADLINE_TARGET)
+    followers2, leader2, r, terminal = kernel_step(
+        env, followers, LeaderState(0, 0), Action.RIGHT, np.random.default_rng(0)
     )
+    assert leader2 == LeaderState(1, 0)
     assert r == 0.0
     assert terminal is True
-    assert np.array_equal(followers2, followers)
+    assert followers2 == followers
 
 
 def test_env_step_terminal_iff_mse_below_mu():
@@ -227,11 +248,14 @@ def test_env_step_terminal_iff_mse_below_mu():
     rng = np.random.default_rng(6)
     env = HerdingEnv(cfg)
     followers, leader = env.reset(rng)
-    for _ in range(50):
-        action = valid_actions(make_grid(2, 2), leader.vertex)[0]
-        followers, leader, r, terminal = env.step(followers, leader, action, rng)
-        m = mse(empirical_distribution(followers), np.array(HEADLINE_TARGET))
+    followers = followers.tolist()
+    for _ in range(200):
+        acts = env.actions[leader.vertex]
+        action = acts[int(rng.integers(len(acts)))]
+        followers, leader, r, terminal = kernel_step(env, followers, leader, action, rng)
+        m = oracles.mse(empirical_distribution(followers), np.array(HEADLINE_TARGET))
         assert terminal == (m < cfg.mu)
+        assert r == -4 * m
 
 
 def test_env_step_conserves_mass_both_backends():
@@ -240,29 +264,32 @@ def test_env_step_conserves_mass_both_backends():
         cfg = headline_env(backend=backend)
         env = HerdingEnv(cfg)
         followers, leader = env.reset(rng)
+        followers = followers.tolist()
         for _ in range(100):
-            acts = valid_actions(make_grid(2, 2), leader.vertex)
-            followers, leader, _, _ = env.step(
-                followers, leader, acts[int(rng.integers(len(acts)))], rng
+            acts = env.actions[leader.vertex]
+            followers, leader, _, _ = kernel_step(
+                env, followers, leader, acts[int(rng.integers(len(acts)))], rng
             )
         if backend == "dtmc":
-            assert followers.sum() == 100
+            assert sum(followers) == 100
         else:
-            assert abs(followers.sum() - 1.0) < 1e-9
+            assert abs(sum(followers) - 1.0) < 1e-9
 
 
 def test_env_step_invalid_action():
-    cfg = headline_env()
+    # The move table holds exactly the valid actions; Right leaves the grid at v1.
+    env = HerdingEnv(headline_env())
+    assert tuple(env.moves[1]) == env.action_ids[1] == (Action.LEFT, Action.DOWN, Action.STAY)
+    with pytest.raises(KeyError):
+        env.moves[1][Action.RIGHT]
     with pytest.raises(InvalidActionError):
-        HerdingEnv(cfg).step(np.array([40, 10, 10, 40]), LeaderState(1, 0), Action.RIGHT,
-                             np.random.default_rng(0))
+        apply_leader_action(env.graph, LeaderState(1, 0), Action.RIGHT)
 
 
 @pytest.mark.parametrize("action", [1, 7, -1])
 def test_env_step_rejects_bad_action_ints(action):
     env = HerdingEnv(headline_env())
-    with pytest.raises(InvalidActionError, match=f"^{action} is not available"):
-        env.step(np.array([40, 10, 10, 40]), LeaderState(1, 0), action, np.random.default_rng(0))
+    assert action not in env.moves[1]
     with pytest.raises(InvalidActionError, match="is not available at vertex 1"):
         apply_leader_action(make_grid(2, 2), LeaderState(1, 0), action)
 
@@ -274,39 +301,39 @@ def test_mean_field_replay_is_bitwise_identical():
               Action.LEFT, Action.STAY, Action.UP, Action.STAY, Action.STAY]
     runs = []
     for _ in range(2):
-        followers, leader = np.array(HEADLINE_INITIAL), LeaderState(0, 0)
+        followers, leader = list(HEADLINE_INITIAL), LeaderState(0, 0)
         states = []
         for action in script:
-            followers, leader, r, t = env.step(followers, leader, action, np.random.default_rng(0))
-            states.append((followers.tobytes(), leader, r, t))
+            followers, leader, r, t = kernel_step(
+                env, followers, leader, action, np.random.default_rng(0)
+            )
+            states.append((np.array(followers).tobytes(), leader, r, t))
         runs.append(states)
     assert runs[0] == runs[1]
 
 
 def test_env_step_matches_free_function_composition():
-    # HerdingEnv.step and the op-by-op composition must consume the stream
+    # The kernels and the documented propagators must consume the stream
     # identically and produce identical trajectories.
-    from swarmherd import TransitionRates, step_dtmc
-
-    cfg = headline_env()
-    env = HerdingEnv(cfg)
-    g = make_grid(2, 2)
-    rates = TransitionRates.uniform(g, cfg.beta)
-    rng_a = np.random.default_rng(11)
-    rng_b = np.random.default_rng(11)
-    followers_a, leader_a = env.reset(rng_a)
-    followers_b, leader_b = HerdingEnv(cfg).reset(rng_b)
-    for k in range(200):
-        action = valid_actions(g, leader_a.vertex)[k % 3]
-        followers_a, leader_a, r_a, t_a = env.step(followers_a, leader_a, action, rng_a)
-        leader_b = apply_leader_action(g, leader_b, action)
-        followers_b = step_dtmc(g, rates, leader_b, followers_b, rng_b)
-        dist = empirical_distribution(followers_b)
-        r_b = reward(dist, np.array(HEADLINE_TARGET))
-        t_b = mse(dist, np.array(HEADLINE_TARGET)) < cfg.mu
-        assert followers_a.tolist() == followers_b.tolist()
-        assert leader_a == leader_b
-        assert r_a == r_b and t_a == t_b
+    for backend in ("dtmc", "mean-field"):
+        env = HerdingEnv(headline_env(backend=backend))
+        rng_a = np.random.default_rng(11)
+        rng_b = np.random.default_rng(11)
+        followers_a, leader_a = env.reset(rng_a)
+        followers_a = followers_a.tolist()
+        followers_b, leader_b = env.reset(rng_b)
+        for k in range(200):
+            action = env.actions[leader_a.vertex][k % 3]
+            followers_a, leader_a, r_a, t_a = kernel_step(
+                env, followers_a, leader_a, action, rng_a
+            )
+            followers_b, leader_b, r_b, t_b = oracles.reference_step(
+                env, followers_b, leader_b, action, rng_b
+            )
+            assert followers_a == followers_b.tolist()
+            assert leader_a == leader_b
+            assert r_a == r_b and t_a == t_b
+        assert rng_a.random() == rng_b.random()
 
 
 def test_state_index_matches_encode_pipeline():
@@ -315,20 +342,15 @@ def test_state_index_matches_encode_pipeline():
         cfg = headline_env(backend=backend)
         env = HerdingEnv(cfg)
         followers, leader = env.reset(rng)
+        followers = followers.tolist()
         for _ in range(300):
             acts = env.actions[leader.vertex]
-            followers, leader, _, _ = env.step(
-                followers, leader, acts[int(rng.integers(len(acts)))], rng
+            followers, leader, _, _ = kernel_step(
+                env, followers, leader, acts[int(rng.integers(len(acts)))], rng
             )
-            expected = encode_state(
-                DiscretizedState(
-                    tuple(int(x) for x in discretize(env.observe(followers), cfg.bins)),
-                    leader.vertex,
-                ),
-                cfg.bins,
-                cfg.num_vertices,
-            )
-            assert env.state_index(followers, leader.vertex) == expected
+            _, code = env.score(followers)
+            expected = oracles.state_index(env, followers, leader.vertex)
+            assert leader.vertex + cfg.num_vertices * code == expected
 
 
 # --- config validation ----------------------------------------------------------
@@ -350,6 +372,14 @@ def test_env_config_rejects_bad_values():
         headline_env(initial_dist=(0.5, 0.5, 0.5, 0.5))
     with pytest.raises(ConfigError):
         headline_env(target_dist=(1.0, 0.0, 0.0))
+    nan, inf = float("nan"), float("inf")
+    for mu in (nan, inf, -inf):
+        with pytest.raises(ConfigError, match="mu="):
+            headline_env(mu=mu)
+    for bad in ((nan, 0.5, 0.25, 0.25), (1.5, -0.5, 0.0, 0.0), (inf, 0.0, 0.0, 0.0)):
+        for name in ("initial_dist", "target_dist"):
+            with pytest.raises(ConfigError, match=name):
+                headline_env(**{name: bad})
 
 
 def test_smoke_config_is_valid():

@@ -6,24 +6,20 @@ import pytest
 
 from swarmherd import (
     Action,
-    DiscretizedState,
     HerdingEnv,
     QTable,
     RunRecord,
     SweepCell,
     derive_seed,
     evaluate,
-    select_action,
     sweep,
     train,
-    update_qlearning,
-    update_sarsa,
-    valid_actions,
 )
-from swarmherd.environment import BACKENDS, decode_state, discretize, make_grid
+from swarmherd.environment import BACKENDS, decode_state
 from swarmherd.errors import CompatibilityError, ConfigError
-from swarmherd.learner import greedy_action_index, select_action_index
+from swarmherd.learner import greedy_action_index
 
+import oracles
 from helpers import headline_env, smoke_env, smoke_train
 from oracles import PolicyOracle
 
@@ -44,8 +40,8 @@ def test_smoke_training_is_fast_and_herds():
     assert agg.convergence_rate == 1.0
     # the learned behavior: repel at the crowded vertex, walk back when away
     env = HerdingEnv(cfg.env)
-    full_idx = env.state_index(np.array([10, 0]), 0)
-    away_idx = env.state_index(np.array([10, 0]), 1)
+    _, code = env.score([10, 0])
+    full_idx, away_idx = 0 + 2 * code, 1 + 2 * code
     assert greedy_action_index(result.table.values, full_idx, env.actions[0]) is Action.STAY
     assert greedy_action_index(result.table.values, away_idx, env.actions[1]) is Action.LEFT
 
@@ -90,74 +86,72 @@ def _reference_env(grid: str, backend: str):
 @pytest.mark.parametrize("grid", ["1x2", "2x2"])
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_train_single_steps_match_update_ops(backend, grid, algorithm):
-    """The inlined training update must equal the public update operations."""
+    """The training loop must equal the reference step, state and TD operations."""
     env_cfg = _reference_env(grid, backend)
     cfg = smoke_train(algorithm=algorithm, episodes=10, env=env_cfg)
     cfg = replace(cfg, max_iters_per_episode=8)
     result = train(cfg)
 
     env = HerdingEnv(env_cfg)
-    g = make_grid(env_cfg.rows, env_cfg.cols)
-    table = QTable.zeros(env_cfg.bins, env_cfg.rows, env_cfg.cols)
+    values = QTable.zeros(env_cfg.bins, env_cfg.rows, env_cfg.cols).values
     rng = np.random.default_rng(cfg.seed)
-    lrn = cfg.learner
-
-    def ds(followers, leader):
-        fr = tuple(int(x) for x in discretize(env.observe(followers), env_cfg.bins))
-        return DiscretizedState(fr, leader.vertex)
+    alpha, gamma, epsilon = cfg.learner.alpha, cfg.learner.gamma, cfg.learner.epsilon
 
     for _ in range(cfg.episodes):
         followers, leader = env.reset(rng)
-        if env.mse_to_target(followers) < env_cfg.mu:
+        if oracles.mse(oracles.observe(env, followers), env.target) < env_cfg.mu:
             continue
-        state = ds(followers, leader)
+        s = oracles.state_index(env, followers, leader.vertex)
         if algorithm == "sarsa":
-            action = select_action(table, state, valid_actions(g, leader.vertex), lrn.epsilon, rng)
+            a = oracles.select(values, s, env.actions[leader.vertex], epsilon, rng)
             for _ in range(cfg.max_iters_per_episode):
-                followers, leader, r, terminal = env.step(followers, leader, action, rng)
-                if terminal:
-                    update_sarsa(table, state, action, r, None, None, lrn, terminal=True)
-                    break
-                nxt = ds(followers, leader)
-                nxt_action = select_action(
-                    table, nxt, valid_actions(g, leader.vertex), lrn.epsilon, rng
+                followers, leader, r, terminal = oracles.reference_step(
+                    env, followers, leader, a, rng
                 )
-                update_sarsa(table, state, action, r, nxt, nxt_action, lrn)
-                state, action = nxt, nxt_action
+                if terminal:
+                    oracles.sarsa_write(values, s, a, r, None, None, alpha, gamma, terminal=True)
+                    break
+                s2 = oracles.state_index(env, followers, leader.vertex)
+                a2 = oracles.select(values, s2, env.actions[leader.vertex], epsilon, rng)
+                oracles.sarsa_write(values, s, a, r, s2, a2, alpha, gamma)
+                s, a = s2, a2
         else:
             for _ in range(cfg.max_iters_per_episode):
-                action = select_action(
-                    table, state, valid_actions(g, leader.vertex), lrn.epsilon, rng
+                a = oracles.select(values, s, env.actions[leader.vertex], epsilon, rng)
+                followers, leader, r, terminal = oracles.reference_step(
+                    env, followers, leader, a, rng
                 )
-                followers, leader, r, terminal = env.step(followers, leader, action, rng)
                 if terminal:
-                    update_qlearning(table, state, action, r, None, (), lrn, terminal=True)
+                    oracles.qlearning_write(values, s, a, r, None, (), alpha, gamma, terminal=True)
                     break
-                nxt = ds(followers, leader)
-                update_qlearning(
-                    table, state, action, r, nxt, valid_actions(g, leader.vertex), lrn
+                s2 = oracles.state_index(env, followers, leader.vertex)
+                oracles.qlearning_write(
+                    values, s, a, r, s2, env.actions[leader.vertex], alpha, gamma
                 )
-                state = nxt
-    assert np.array_equal(result.table.values, table.values)
+                s = s2
+    assert np.array_equal(result.table.values, values)
     lengths = [e.length for e in result.episodes]
     assert min(lengths) < cfg.max_iters_per_episode == max(lengths)  # terminal and capped
 
 
 def _reference_evaluate(table, env_cfg, runs, eval_max_iters, epsilon_eval, seed):
-    """evaluate() spelled out with the public environment and selection calls."""
+    """evaluate() spelled out with the reference step, state and selection."""
     env = HerdingEnv(env_cfg)
     records = []
     for run in range(runs):
         run_seed = derive_seed(seed, run)
         rng = np.random.default_rng(run_seed)
         followers, leader = env.reset(rng)
-        iterations, converged = 0, env.mse_to_target(followers) < env_cfg.mu
+        iterations = 0
+        converged = oracles.mse(oracles.observe(env, followers), env.target) < env_cfg.mu
         while not converged and iterations < eval_max_iters:
-            s = env.state_index(followers, leader.vertex)
-            a = select_action_index(table.values, s, env.actions[leader.vertex], epsilon_eval, rng)
-            followers, leader, _, converged = env.step(followers, leader, a, rng)
+            s = oracles.state_index(env, followers, leader.vertex)
+            a = oracles.select(table.values, s, env.actions[leader.vertex], epsilon_eval, rng)
+            followers, leader, _, converged = oracles.reference_step(
+                env, followers, leader, a, rng
+            )
             iterations += 1
-        final_mse = env.mse_to_target(followers)
+        final_mse = oracles.mse(oracles.observe(env, followers), env.target)
         records.append(RunRecord(run, converged, iterations, final_mse, run_seed))
     return records
 

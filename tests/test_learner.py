@@ -7,24 +7,27 @@ from swarmherd import (
     LearnerConfig,
     QTable,
     load_qtable,
-    q_lookup,
     save_qtable,
-    select_action,
-    update_qlearning,
-    update_sarsa,
 )
+from swarmherd.environment import encode_state
 from swarmherd.errors import (
     ConfigError,
     QTableDimensionError,
     QTableFormatError,
     QTableTruncatedError,
 )
-from swarmherd.learner import greedy_action_index
+from swarmherd.learner import (
+    greedy_action_index,
+    max_action_value,
+    select_action_index,
+    td_update,
+)
 
-S = DiscretizedState((4, 1, 1, 4), 0)
-S2 = DiscretizedState((3, 2, 1, 4), 1)
+S = encode_state(DiscretizedState((4, 1, 1, 4), 0), 10, 4)
+S2 = encode_state(DiscretizedState((3, 2, 1, 4), 1), 10, 4)
 A = Action.STAY
 A2 = Action.LEFT
+VALID2 = (Action.LEFT, Action.STAY)
 CFG = LearnerConfig(alpha=0.3, gamma=0.9, epsilon=0.1, algorithm="sarsa")
 
 
@@ -32,18 +35,22 @@ def fresh_table():
     return QTable.zeros(bins=10, rows=2, cols=2)
 
 
+# The TD targets as harness.train forms them for the step (S, A, r, S2).
+
+def sarsa_update(values, r, a2=A2, cfg=CFG):
+    td_update(values, S, A, r + cfg.gamma * values.item(S2, a2), cfg.alpha)
+
+
+def qlearning_update(values, r, cfg=CFG):
+    td_update(values, S, A, r + cfg.gamma * max_action_value(values, S2, VALID2), cfg.alpha)
+
+
 # --- lookup -------------------------------------------------------------------
 
 def test_fresh_table_reads_zero():
     q = fresh_table()
-    assert q_lookup(q, S, A) == 0.0
-    assert q_lookup(q, S2, A2) == 0.0
-
-
-def test_lookup_out_of_range_action():
-    q = fresh_table()
-    with pytest.raises(IndexError):
-        q_lookup(q, S, 7)
+    assert max_action_value(q.values, S, tuple(Action)) == 0.0
+    assert max_action_value(q.values, S2, VALID2) == 0.0
 
 
 # --- selection ----------------------------------------------------------------
@@ -51,20 +58,17 @@ def test_lookup_out_of_range_action():
 def test_greedy_picks_largest():
     q = fresh_table()
     valid = (Action.LEFT, Action.RIGHT, Action.STAY)
-    from swarmherd.environment import encode_state
-
-    idx = encode_state(S, q.bins, q.num_vertices)
-    q.values[idx, Action.LEFT] = 1.0
-    q.values[idx, Action.RIGHT] = 2.0
-    q.values[idx, Action.STAY] = 3.0
-    chosen = select_action(q, S, valid, 0.0, np.random.default_rng(0))
+    q.values[S, Action.LEFT] = 1.0
+    q.values[S, Action.RIGHT] = 2.0
+    q.values[S, Action.STAY] = 3.0
+    chosen = select_action_index(q.values, S, valid, 0.0, np.random.default_rng(0))
     assert chosen is Action.STAY  # the third valid action
 
 
 def test_greedy_tie_break_takes_first_valid():
     q = fresh_table()
     valid = (Action.LEFT, Action.RIGHT, Action.STAY)
-    chosen = select_action(q, S, valid, 0.0, np.random.default_rng(0))
+    chosen = select_action_index(q.values, S, valid, 0.0, np.random.default_rng(0))
     assert chosen is Action.LEFT
 
 
@@ -75,115 +79,92 @@ def test_epsilon_one_is_uniform():
     hits = {a: 0 for a in valid}
     draws = 100_000
     for _ in range(draws):
-        hits[select_action(q, S, valid, 1.0, rng)] += 1
+        hits[select_action_index(q.values, S, valid, 1.0, rng)] += 1
     for a in valid:
         assert abs(hits[a] / draws - 1 / 3) < 0.02
-
-
-def test_empty_valid_set_raises():
-    with pytest.raises(ValueError):
-        select_action(fresh_table(), S, (), 0.5, np.random.default_rng(0))
 
 
 def test_greedy_invariant_under_constant_shift():
     q = fresh_table()
     valid = (Action.LEFT, Action.RIGHT, Action.STAY)
-    from swarmherd.environment import encode_state
-
-    idx = encode_state(S, q.bins, q.num_vertices)
     rng = np.random.default_rng(2)
-    q.values[idx, :] = rng.normal(size=q.num_actions)
-    before = greedy_action_index(q.values, idx, valid)
-    q.values[idx, :] += 17.5
-    assert greedy_action_index(q.values, idx, valid) is before
+    q.values[S, :] = rng.normal(size=q.num_actions)
+    before = greedy_action_index(q.values, S, valid)
+    q.values[S, :] += 17.5
+    assert greedy_action_index(q.values, S, valid) is before
 
 
 # --- updates ------------------------------------------------------------------
 
 def test_sarsa_update_hand_value():
     q = fresh_table()
-    update_sarsa(q, S, A, -0.36, S2, A2, CFG)
-    assert q_lookup(q, S, A) == -0.108
+    sarsa_update(q.values, -0.36)
+    assert q.values[S, A] == -0.108
 
 
 def test_sarsa_zero_alpha_is_noop():
     q = fresh_table()
     cfg = LearnerConfig(alpha=0.0, gamma=0.9, epsilon=0.1, algorithm="sarsa")
-    update_sarsa(q, S, A, -0.36, S2, A2, cfg)
+    sarsa_update(q.values, -0.36, cfg=cfg)
     assert not q.values.any()
 
 
 def test_sarsa_fixed_point():
     q = fresh_table()
-    from swarmherd.environment import encode_state
-
-    idx = encode_state(S, q.bins, q.num_vertices)
-    idx2 = encode_state(S2, q.bins, q.num_vertices)
-    q.values[idx, A] = -1.5
-    q.values[idx2, A2] = -1.5
+    q.values[S, A] = -1.5
+    q.values[S2, A2] = -1.5
     cfg = LearnerConfig(alpha=0.3, gamma=1.0, epsilon=0.1, algorithm="sarsa")
-    update_sarsa(q, S, A, 0.0, S2, A2, cfg)
-    assert q.values[idx, A] == -1.5
+    sarsa_update(q.values, 0.0, cfg=cfg)
+    assert q.values[S, A] == -1.5
 
 
 def test_updates_touch_exactly_one_entry():
     q = fresh_table()
-    update_sarsa(q, S, A, -0.36, S2, A2, CFG)
+    sarsa_update(q.values, -0.36)
     assert np.count_nonzero(q.values) == 1
     q = fresh_table()
-    update_qlearning(q, S, A, -0.36, S2, (Action.LEFT, Action.STAY), CFG)
+    qlearning_update(q.values, -0.36)
     assert np.count_nonzero(q.values) == 1
 
 
 def test_qlearning_update_hand_values():
     q = fresh_table()
-    update_qlearning(q, S, A, -0.36, S2, (Action.LEFT, Action.STAY), CFG)
-    assert q_lookup(q, S, A) == -0.108
+    qlearning_update(q.values, -0.36)
+    assert q.values[S, A] == -0.108
 
     q = fresh_table()
-    from swarmherd.environment import encode_state
-
-    idx2 = encode_state(S2, q.bins, q.num_vertices)
-    q.values[idx2, Action.LEFT] = 5.0
-    q.values[idx2, Action.STAY] = -1.0
+    q.values[S2, Action.LEFT] = 5.0
+    q.values[S2, Action.STAY] = -1.0
     cfg = LearnerConfig(alpha=1.0, gamma=1.0, epsilon=0.0, algorithm="qlearning")
-    update_qlearning(q, S, A, 0.0, S2, (Action.LEFT, Action.STAY), cfg)
-    assert q_lookup(q, S, A) == 5.0
+    qlearning_update(q.values, 0.0, cfg=cfg)
+    assert q.values[S, A] == 5.0
 
 
 def test_qlearning_max_is_masked_to_valid_actions():
     q = fresh_table()
-    from swarmherd.environment import encode_state
-
-    idx2 = encode_state(S2, q.bins, q.num_vertices)
-    q.values[idx2, Action.RIGHT] = 99.0  # invalid at the successor, must be ignored
-    q.values[idx2, Action.LEFT] = -1.0
+    q.values[S2, Action.RIGHT] = 99.0  # invalid at the successor, must be ignored
+    q.values[S2, Action.LEFT] = -1.0
+    assert max_action_value(q.values, S2, VALID2) == 0.0
     cfg = LearnerConfig(alpha=1.0, gamma=1.0, epsilon=0.0, algorithm="qlearning")
-    update_qlearning(q, S, A, 0.0, S2, (Action.LEFT, Action.STAY), cfg)
-    assert q_lookup(q, S, A) == 0.0  # max(-1, 0), not 99
+    qlearning_update(q.values, 0.0, cfg=cfg)
+    assert q.values[S, A] == 0.0  # max(-1, 0), not 99
 
 
 def test_qlearning_equals_sarsa_when_next_action_is_argmax():
     qa, qb = fresh_table(), fresh_table()
-    from swarmherd.environment import encode_state
-
-    idx2 = encode_state(S2, qa.bins, qa.num_vertices)
     for q in (qa, qb):
-        q.values[idx2, Action.LEFT] = -0.4
-        q.values[idx2, Action.STAY] = -0.2
-    update_sarsa(qa, S, A, -0.36, S2, Action.STAY, CFG)
-    update_qlearning(qb, S, A, -0.36, S2, (Action.LEFT, Action.STAY), CFG)
-    assert q_lookup(qa, S, A) == q_lookup(qb, S, A)
+        q.values[S2, Action.LEFT] = -0.4
+        q.values[S2, Action.STAY] = -0.2
+    sarsa_update(qa.values, -0.36, a2=Action.STAY)
+    qlearning_update(qb.values, -0.36)
+    assert qa.values[S, A] == qb.values[S, A]
 
 
 def test_terminal_update_drops_bootstrap():
     q = fresh_table()
-    from swarmherd.environment import encode_state
-
-    idx2 = encode_state(S2, q.bins, q.num_vertices)
-    q.values[idx2, A2] = -50.0
-    update_sarsa(q, S, A, -0.36, None, None, CFG, terminal=True)
-    assert q_lookup(q, S, A) == -0.108
+    q.values[S2, A2] = -50.0
+    td_update(q.values, S, A, -0.36, CFG.alpha)  # a terminal step's target is r
+    assert q.values[S, A] == -0.108
 
 
 def test_learner_config_validation():

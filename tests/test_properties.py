@@ -1,5 +1,5 @@
-"""Property-based checks: mass conservation, the equivalence of the two
-step paths and of the two state encoders over random small grids, the
+"""Property-based checks: mass conservation, the loop kernels against the
+reference step and state encoder of ``oracles`` over random small grids, the
 encode/decode bijection, and fuzzing of the table reader.
 
 Examples are derandomized and bounded so the suite stays fast and repeatable.
@@ -20,22 +20,16 @@ from swarmherd import (
     EnvConfig,
     HerdingEnv,
     QTable,
-    TransitionRates,
-    apply_leader_action,
     decode_state,
-    discretize,
-    empirical_distribution,
     encode_state,
-    make_grid,
-    mean_field_step,
-    mse,
     num_states,
-    reward,
-    step_dtmc,
 )
 from swarmherd.environment import BACKENDS
 from swarmherd.errors import QTableFormatError
 from swarmherd.learner import _HEADER, FORMAT_VERSION, MAGIC, load_qtable, save_qtable
+
+import oracles
+from helpers import kernel_step
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 FUZZ = settings(SETTINGS, max_examples=200)
@@ -78,42 +72,36 @@ def test_step_conserves_mass(cfg, seed, choices):
     env = HerdingEnv(cfg)
     rng = np.random.default_rng(seed)
     followers, leader = env.reset(rng)
+    followers = followers.tolist()
     for c in choices:
-        acts = env.actions[leader.vertex]
-        followers, leader, r, _ = env.step(followers, leader, acts[c % len(acts)], rng)
+        acts = env.action_ids[leader.vertex]
+        followers, leader, r, _ = kernel_step(env, followers, leader, acts[c % len(acts)], rng)
         assert r <= 0.0
         if cfg.backend == "dtmc":
-            assert followers.dtype == np.int64
-            assert followers.min() >= 0 and int(followers.sum()) == cfg.num_agents
+            assert all(type(x) is int for x in followers)
+            assert min(followers) >= 0 and sum(followers) == cfg.num_agents
         else:
-            assert followers.min() >= 0.0 and abs(float(followers.sum()) - 1.0) <= 1e-12
+            assert min(followers) >= 0.0 and abs(sum(followers) - 1.0) <= 1e-12
 
 
 @SETTINGS
 @given(cfg=env_configs(), seed=SEEDS, choices=CHOICES)
 def test_step_matches_free_functions(cfg, seed, choices):
     env = HerdingEnv(cfg)
-    g = make_grid(cfg.rows, cfg.cols)
-    rates = TransitionRates.uniform(g, cfg.beta)
     rng_a = np.random.default_rng(seed)
     rng_b = np.random.default_rng(seed)
     followers_a, leader_a = env.reset(rng_a)
+    followers_a = followers_a.tolist()
     followers_b, leader_b = env.reset(rng_b)
     for c in choices:
         action = env.actions[leader_a.vertex][c % len(env.actions[leader_a.vertex])]
-        followers_a, leader_a, r_a, t_a = env.step(followers_a, leader_a, action, rng_a)
-        leader_b = apply_leader_action(g, leader_b, action)
-        if cfg.backend == "dtmc":
-            followers_b = step_dtmc(g, rates, leader_b, followers_b, rng_b)
-            dist = empirical_distribution(followers_b)
-        else:
-            followers_b = mean_field_step(g, rates, leader_b, followers_b)
-            dist = followers_b
-        assert followers_a.dtype == followers_b.dtype
-        assert followers_a.tobytes() == followers_b.tobytes()
+        followers_a, leader_a, r_a, t_a = kernel_step(env, followers_a, leader_a, action, rng_a)
+        followers_b, leader_b, r_b, t_b = oracles.reference_step(
+            env, followers_b, leader_b, action, rng_b
+        )
+        assert followers_a == followers_b.tolist()
         assert leader_a == leader_b
-        assert r_a == reward(dist, env.target)
-        assert t_a == (mse(dist, env.target) < cfg.mu)
+        assert r_a == r_b and t_a == t_b
     assert rng_a.random() == rng_b.random()
 
 
@@ -138,9 +126,8 @@ def test_state_index_matches_encode_of_discretize(cfg, data):
     env = HerdingEnv(cfg)
     followers = _followers(data.draw, cfg)
     vertex = data.draw(st.integers(0, cfg.num_vertices - 1))
-    fractions = tuple(int(f) for f in discretize(env.observe(followers), cfg.bins))
-    expected = encode_state(DiscretizedState(fractions, vertex), cfg.bins, cfg.num_vertices)
-    assert env.state_index(followers, vertex) == expected
+    _, code = env.score(followers.tolist())
+    assert vertex + cfg.num_vertices * code == oracles.state_index(env, followers, vertex)
 
 
 @SETTINGS
