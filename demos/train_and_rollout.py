@@ -48,7 +48,8 @@ print(f"trained {train_cfg.episodes} episodes; "
       f"first ten lengths {lengths[:10]}, last ten {lengths[-10:]}")
 
 ## Roll the greedy policy out once and print each step. One step: look the
-## leader's move up in env.moves; if it repels, move the followers and rescore.
+## leader's move up in env.moves; if it repels, env.repel moves the followers
+## and rescores them in one call.
 env = HerdingEnv(env_cfg)
 m = env_cfg.num_vertices
 rng = np.random.default_rng(123)
@@ -61,8 +62,7 @@ for k in range(1, env_cfg.max_iterations + 1):
     action = greedy_action_index(result.table.values, idx, env.actions[leader.vertex])
     leader = env.moves[leader.vertex][action]
     if leader.flag:
-        followers = env.repel(followers, leader.vertex, rng)
-        sq, code = env.score(followers)
+        followers, sq, code = env.repel(followers, leader.vertex, rng)
     terminal = sq / m < env_cfg.mu
     marker = " <- target reached" if terminal else ""
     print(f"k={k:>2} {action.label:<5} counts={followers} "

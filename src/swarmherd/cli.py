@@ -90,13 +90,10 @@ SCHEMA = {
         "initial_dist": _parse_list(float),
         "target_dist": _parse_list(float),
     },
+    # One parser per LearnerConfig field, by its (string) annotation.
     "learner": {
-        "algorithm": str,
-        "alpha": float,
-        "gamma": float,
-        "epsilon": float,
-        "epsilon_decay": _parse_bool,
-        "epsilon_final": float,
+        f.name: {"float": float, "bool": _parse_bool, "str": str}[f.type]
+        for f in fields(LearnerConfig)
     },
     "train": {"episodes": int, "max_iters": int, "seed": int},
     "sweep": {
@@ -457,8 +454,7 @@ def cmd_simulate(args) -> int:
             action = select_action_index(table.values, s, valid, args.epsilon_eval, rng)
         leader = env.moves[leader.vertex][action]
         if leader.flag:
-            followers = env.repel(followers, leader.vertex, rng)
-            sq, code = env.score(followers)
+            followers, sq, code = env.repel(followers, leader.vertex, rng)
             terminal = sq / m < env_cfg.mu
         lines.append(trace_row(k, leader, action, followers, -sq, sq / m, terminal))
         if args.frames:

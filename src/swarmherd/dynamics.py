@@ -110,9 +110,9 @@ def repel_density(
 ) -> list[float]:
     """Density after a leader repels at v: a ``shares[i]`` share of density[v]
     flows to ``nbrs[i]`` and the stay share ``shares[-1]`` remains. Plain
-    floats in and out, like :func:`repel_counts`."""
+    floats in (a list or tuple) and a new list out, like :func:`repel_counts`."""
     mass = density[v]
-    out = density.copy()
+    out = list(density)
     for t, p in zip(nbrs, shares):
         out[t] += p * mass
     out[v] = shares[-1] * mass

@@ -31,6 +31,10 @@ from .errors import ConfigError, EncodingError, InvalidActionError
 from .graph import Graph, make_grid
 
 BACKENDS = ("dtmc", "mean-field")
+# Most mean-field repel results one HerdingEnv keeps. Training the 2x2 grid
+# at 20 bins stores 16,665 (about 6.3 MB); past the limit a result is
+# computed and not stored.
+MAX_MEMO_ENTRIES = 2**15
 
 
 class Action(IntEnum):
@@ -184,8 +188,11 @@ class EnvConfig:
     backend: str = "dtmc"
 
     def __post_init__(self):
-        object.__setattr__(self, "initial_dist", tuple(float(x) for x in self.initial_dist))
-        object.__setattr__(self, "target_dist", tuple(float(x) for x in self.target_dist))
+        # "+ 0.0" turns -0.0 into 0.0. No step makes a negative zero, so
+        # densities that compare equal are then equal to the bit, which
+        # HerdingEnv.repel's memo relies on.
+        object.__setattr__(self, "initial_dist", tuple(float(x) + 0.0 for x in self.initial_dist))
+        object.__setattr__(self, "target_dist", tuple(float(x) + 0.0 for x in self.target_dist))
         if self.rows < 1 or self.cols < 1 or self.rows * self.cols < 2:
             raise ConfigError(f"invalid grid dimensions {self.rows}x{self.cols}")
         if self.num_agents < 1:
@@ -223,9 +230,9 @@ class HerdingEnv:
     iteration, as the training, evaluation and simulate loops run it on plain
     Python values: ``moves[v][a]`` gives the leader state after action a at v
     (``action_ids[v]`` lists the valid a as ints); if its flag is up,
-    :meth:`repel` moves the followers list and :meth:`score` rates the result.
-    A move leaves the followers unchanged, so only a repel step needs a new
-    score.
+    :meth:`repel` moves the followers and rates the result in one call. A
+    move leaves the followers unchanged, so only a repel step needs a new
+    score; :meth:`score` rates the reset state.
     """
 
     def __init__(self, cfg: EnvConfig):
@@ -257,6 +264,8 @@ class HerdingEnv:
         self._target = self.target.tolist()
         self._radix_weights = tuple((cfg.bins + 1) ** v for v in range(m))
         self._m = m
+        # Mean-field repel results keyed (vertex, *density); see repel().
+        self._memo: dict[tuple, tuple[tuple[float, ...], float, int]] = {}
 
     def reset(self, rng: np.random.Generator) -> tuple[np.ndarray, LeaderState]:
         """Fresh episode: followers at the initial distribution, leader uniform, flag down.
@@ -269,13 +278,35 @@ class HerdingEnv:
             return self._initial_counts.copy(), leader
         return self.initial.copy(), leader
 
-    def repel(self, followers: list, vertex: int, rng: np.random.Generator) -> list:
-        """Followers list after the leader repels at ``vertex`` (one multinomial
-        draw for counts, none for densities)."""
-        nbrs, shares = self.graph.neighbors[vertex], self._repel_shares[vertex]
+    def repel(
+        self, followers: Sequence, vertex: int, rng: np.random.Generator
+    ) -> tuple[Sequence, float, int]:
+        """``(followers', sq, code)`` after the leader repels at ``vertex``:
+        the moved followers and their :meth:`score`.
+
+        Counts take one multinomial draw from ``rng`` on every call. A density
+        step draws nothing and is a pure function of (vertex, density), so its
+        result is memoized on the env, up to :data:`MAX_MEMO_ENTRIES` entries;
+        a hit returns the floats of the first computation, with the density as
+        an immutable tuple.
+        """
         if self._counts_backend:
-            return repel_counts(followers, vertex, nbrs, shares, rng)
-        return repel_density(followers, vertex, nbrs, shares)
+            out = repel_counts(
+                followers, vertex, self.graph.neighbors[vertex], self._repel_shares[vertex], rng
+            )
+            sq, code = self.score(out)
+            return out, sq, code
+        key = (vertex, *followers)
+        hit = self._memo.get(key)
+        if hit is None:
+            out = repel_density(
+                followers, vertex, self.graph.neighbors[vertex], self._repel_shares[vertex]
+            )
+            sq, code = self.score(out)
+            hit = (tuple(out), sq, code)
+            if len(self._memo) < MAX_MEMO_ENTRIES:
+                self._memo[key] = hit
+        return hit
 
     def score(self, followers: Sequence) -> tuple[float, int]:
         """``(sq, code)`` for a followers list (counts or densities).

@@ -106,8 +106,9 @@ def train(cfg: TrainConfig) -> TrainResult:
     Deterministic for a fixed seed.
 
     Each step runs the :class:`HerdingEnv` kernels on plain values: followers
-    stay a list, and only a repel step moves them, so a move step keeps the
-    previous reward, terminal test and follower code.
+    stay a list (a tuple after a mean-field repel), and only a repel step
+    moves and rescores them, so a move step keeps the previous reward,
+    terminal test and follower code.
     """
     env = HerdingEnv(cfg.env)
     table = QTable.zeros(cfg.env.bins, cfg.env.rows, cfg.env.cols)
@@ -140,8 +141,7 @@ def train(cfg: TrainConfig) -> TrainResult:
             # A move leaves the followers, and so a non-terminal score, as they were.
             terminal = False
             if flag:
-                followers = env.repel(followers, v, rng)
-                sq, code = env.score(followers)
+                followers, sq, code = env.repel(followers, v, rng)
                 terminal = sq / m < mu
             r = -sq
             total += r
@@ -227,8 +227,7 @@ def evaluate(
                 iterations = t
                 # Only a repel step moves the followers, so only it can end the run.
                 if flag:
-                    followers = env.repel(followers, v, rng)
-                    sq, code = env.score(followers)
+                    followers, sq, code = env.repel(followers, v, rng)
                     if sq / m < mu:
                         converged = True
                         break

@@ -9,6 +9,8 @@ Q-Learning differ only in the target they pass to :func:`td_update`.
 from __future__ import annotations
 
 import json
+import os
+import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -164,8 +166,11 @@ def save_qtable(q: QTable, destination, extra_meta: Mapping | None = None) -> No
     header = _HEADER.pack(
         MAGIC, FORMAT_VERSION, q.num_vertices, q.bins, q.num_actions, q.rows, q.cols
     )
-    payload = np.ascontiguousarray(q.values, dtype="<f8").tobytes()
-    path.write_bytes(header + payload)
+    # The array's own buffer goes to the file: no bytes copy of a large table.
+    payload = np.ascontiguousarray(q.values, dtype="<f8")
+    with path.open("wb") as fh:
+        fh.write(header)
+        fh.write(memoryview(payload))
     meta = {
         "magic": MAGIC.decode("ascii"),
         "format_version": FORMAT_VERSION,
@@ -184,38 +189,51 @@ def sidecar_path(table_path) -> Path:
     return Path(str(table_path) + ".meta.json")
 
 
+def _check_payload_size(got: int, expected: int) -> None:
+    if got < expected:
+        raise QTableTruncatedError(f"payload holds {got} bytes, header promises {expected}")
+    if got > expected:
+        raise QTableDimensionError(f"{got - expected} trailing bytes after the payload")
+
+
 def load_qtable(source) -> QTable:
     """Read a table written by :func:`save_qtable`.
 
     Raises QTableFormatError for a bad magic/version/header,
     QTableDimensionError for inconsistent dimensions or trailing bytes, and
-    QTableTruncatedError when the payload is short.
+    QTableTruncatedError when the payload is short. The payload size of a
+    regular file is checked against its size before anything is allocated;
+    the payload is read once, straight into the table's array.
     """
-    data = Path(source).read_bytes()
-    if len(data) < _HEADER.size:
-        raise QTableFormatError("file shorter than the fixed header")
-    magic, version, m, bins, actions, rows, cols = _HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise QTableFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    if version != FORMAT_VERSION:
-        raise QTableFormatError(f"unsupported format version {version}")
-    if not (1 <= m <= 64 and 1 <= bins <= 65535 and 1 <= actions <= 64):
-        raise QTableDimensionError(f"implausible dimensions M={m} bins={bins} actions={actions}")
-    if rows < 1 or cols < 1 or rows * cols != m:
-        raise QTableDimensionError(f"grid {rows}x{cols} inconsistent with M={m}")
-    expected = num_states(bins, m) * actions * 8
-    got = len(data) - _HEADER.size
-    if got < expected:
-        raise QTableTruncatedError(f"payload holds {got} bytes, header promises {expected}")
-    if got > expected:
-        raise QTableDimensionError(f"{got - expected} trailing bytes after the payload")
-    values = (
-        np.frombuffer(data, dtype="<f8", offset=_HEADER.size)
-        .reshape(num_states(bins, m), actions)
-        .astype(np.float64)
-    )
+    with Path(source).open("rb") as fh:
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise QTableFormatError("file shorter than the fixed header")
+        magic, version, m, bins, actions, rows, cols = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise QTableFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
+        if version != FORMAT_VERSION:
+            raise QTableFormatError(f"unsupported format version {version}")
+        if not (1 <= m <= 64 and 1 <= bins <= 65535 and 1 <= actions <= 64):
+            raise QTableDimensionError(
+                f"implausible dimensions M={m} bins={bins} actions={actions}"
+            )
+        if rows < 1 or cols < 1 or rows * cols != m:
+            raise QTableDimensionError(f"grid {rows}x{cols} inconsistent with M={m}")
+        states = num_states(bins, m)
+        expected = states * actions * 8
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):
+            _check_payload_size(info.st_size - _HEADER.size, expected)
+        elif expected > MAX_TABLE_BYTES:
+            # A pipe's length shows only by reading it; allocate no more than zeros() would.
+            raise QTableDimensionError(f"header promises {expected} bytes, above MAX_TABLE_BYTES")
+        values = np.empty((states, actions), dtype="<f8")
+        _check_payload_size(fh.readinto(memoryview(values).cast("B")), expected)
+        if fh.read(1):
+            raise QTableDimensionError("trailing bytes after the payload")
     return QTable(
-        values=values,
+        values=values.astype(np.float64, copy=False),
         bins=bins,
         num_vertices=m,
         num_actions=actions,

@@ -62,10 +62,11 @@ def smoke_train(algorithm="qlearning", episodes=50, seed=5, env=None, **env_over
 
 def kernel_step(env: HerdingEnv, followers: list, leader, action, rng):
     """One iteration on the kernels the loops run: ``moves``, then ``repel``
-    and ``score`` when the leader repels. Returns (followers', leader',
-    reward, terminal); a move rescores the unchanged followers."""
+    when the leader repels. Returns (followers', leader', reward, terminal);
+    a move rescores the unchanged followers with ``score``."""
     leader = env.moves[leader.vertex][action]
     if leader.flag:
-        followers = env.repel(followers, leader.vertex, rng)
-    sq, _ = env.score(followers)
+        followers, sq, _ = env.repel(followers, leader.vertex, rng)
+    else:
+        sq, _ = env.score(followers)
     return followers, leader, -sq, sq / env.cfg.num_vertices < env.cfg.mu

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from swarmherd import (
     num_states,
     valid_actions,
 )
+from swarmherd import environment
 from swarmherd.environment import trace_header, trace_row
 from swarmherd.errors import ConfigError, EncodingError, InvalidActionError
 
@@ -312,6 +315,52 @@ def test_mean_field_replay_is_bitwise_identical():
     assert runs[0] == runs[1]
 
 
+def _repel_walk(env, rounds=2):
+    """Repel around the 2x2 grid from the headline start, ``rounds`` times over,
+    as (followers, sq, code) with every float spelled by ``float.hex``."""
+    out = []
+    for _ in range(rounds):
+        followers = list(HEADLINE_INITIAL)
+        for k in range(12):
+            followers, sq, code = env.repel(followers, (0, 1, 3, 2)[k % 4], None)
+            out.append(([x.hex() for x in followers], sq.hex(), code))
+    return out
+
+
+def test_mean_field_repel_memo_stops_growing_at_its_bound(monkeypatch):
+    reference = _repel_walk(HerdingEnv(headline_env(backend="mean-field")))
+    monkeypatch.setattr(environment, "MAX_MEMO_ENTRIES", 3)
+    env = HerdingEnv(headline_env(backend="mean-field"))
+    # The second round hits the three stored entries and recomputes the rest.
+    assert _repel_walk(env) == reference
+    assert len(env._memo) == 3
+
+
+def test_mean_field_repel_returns_an_immutable_density():
+    env = HerdingEnv(headline_env(backend="mean-field"))
+    followers, _, _ = env.repel(list(HEADLINE_INITIAL), 0, None)
+    with pytest.raises(TypeError):
+        followers[0] = 1.0
+    hit, _, _ = env.repel(list(HEADLINE_INITIAL), 0, None)
+    assert hit == followers
+    assert np.allclose(hit, [0.32, 0.14, 0.14, 0.40], atol=1e-15)
+
+
+def test_negative_zero_density_repels_like_zero():
+    # A memo key compares -0.0 equal to 0.0, so the config must not carry -0.0.
+    cfg = headline_env(backend="mean-field", initial_dist=(0.0, -0.0, 0.0, 1.0))
+    assert [math.copysign(1.0, x) for x in cfg.initial_dist] == [1.0] * 4
+    start = list(cfg.initial_dist)
+
+    def drain_then_repel(env):
+        # Repelling at the empty vertex 0 adds 0.0 to vertex 1.
+        return [x.hex() for x in env.repel(env.repel(start, 0, None)[0], 2, None)[0]]
+
+    seen = HerdingEnv(cfg)
+    seen.repel(start, 2, None)
+    assert drain_then_repel(seen) == drain_then_repel(HerdingEnv(cfg))
+
+
 def test_env_step_matches_free_function_composition():
     # The kernels and the documented propagators must consume the stream
     # identically and produce identical trajectories.
@@ -330,7 +379,7 @@ def test_env_step_matches_free_function_composition():
             followers_b, leader_b, r_b, t_b = oracles.reference_step(
                 env, followers_b, leader_b, action, rng_b
             )
-            assert followers_a == followers_b.tolist()
+            assert list(followers_a) == followers_b.tolist()
             assert leader_a == leader_b
             assert r_a == r_b and t_a == t_b
         assert rng_a.random() == rng_b.random()

@@ -1,3 +1,6 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -271,3 +274,98 @@ def test_load_rejects_trailing_bytes(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00" * 8)
     with pytest.raises(QTableDimensionError):
         load_qtable(path)
+
+
+# --- table I/O memory, on the 31 MB table of a 2x2 grid at 20 bins ---------------
+
+MIB = 2**20
+
+
+def _traced(fn, *args):
+    """``(fn(*args), peak)``: peak is the most bytes allocated while it ran,
+    above those live at its start."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def d20_table(tmp_path_factory):
+    q = QTable.zeros(bins=20, rows=2, cols=2)
+    q.values[:] = np.random.default_rng(4).normal(size=q.values.shape)
+    path = tmp_path_factory.mktemp("d20") / "d20.swhq"
+    save_qtable(q, path)
+    return q, path
+
+
+def test_save_writes_the_table_without_copying_it(d20_table, tmp_path):
+    q, path = d20_table
+    copy = tmp_path / "copy.swhq"
+    assert _traced(save_qtable, q, copy)[1] < MIB
+    assert copy.read_bytes() == path.read_bytes()
+
+
+def test_load_allocates_the_table_once(d20_table):
+    q, path = d20_table
+    loaded, peak = _traced(load_qtable, path)
+    assert peak <= q.values.nbytes + MIB
+    assert np.array_equal(loaded.values, q.values)
+
+
+@pytest.mark.parametrize(
+    "size_change, error",
+    [(-1, QTableTruncatedError), (-8, QTableTruncatedError), (1, QTableDimensionError),
+     (8, QTableDimensionError)],
+)
+def test_load_rejects_a_bad_payload_size_before_allocating(d20_table, tmp_path, size_change, error):
+    q, path = d20_table
+    bad = tmp_path / "bad.swhq"
+    with path.open("rb") as src, bad.open("wb") as dst:
+        dst.write(src.read(28))
+        dst.truncate(os.path.getsize(path) + size_change)
+
+    def load():
+        with pytest.raises(error):
+            load_qtable(bad)
+
+    assert _traced(load)[1] < MIB
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize(
+    "cut, tail, error",
+    [(None, b"", None), (-1, b"", QTableTruncatedError), (None, b"\x00", QTableDimensionError)],
+)
+def test_load_reads_a_pipe(tmp_path, cut, tail, error):
+    # A pipe has no size to check up front: the payload is read, then measured.
+    q = QTable.zeros(bins=3, rows=2, cols=2)
+    q.values[:] = np.random.default_rng(5).normal(size=q.values.shape)
+    path = tmp_path / "table.swhq"
+    save_qtable(q, path)
+    r, w = os.pipe()
+    try:
+        os.write(w, path.read_bytes()[:cut] + tail)  # 40 KB fits in the pipe buffer
+        os.close(w)
+        if error is None:
+            assert np.array_equal(load_qtable(f"/dev/fd/{r}").values, q.values)
+        else:
+            with pytest.raises(error):
+                load_qtable(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+
+
+def test_load_rejects_a_header_cut_short(d20_table, tmp_path):
+    _, path = d20_table
+    bad = tmp_path / "cut.swhq"
+    bad.write_bytes(path.read_bytes()[:27])
+    with pytest.raises(QTableFormatError, match="shorter than the fixed header"):
+        load_qtable(bad)

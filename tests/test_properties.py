@@ -1,6 +1,7 @@
 """Property-based checks: mass conservation, the loop kernels against the
 reference step and state encoder of ``oracles`` over random small grids, the
-encode/decode bijection, and fuzzing of the table reader.
+mean-field repel memo against fresh references, the encode/decode bijection,
+and fuzzing of the table reader.
 
 Examples are derandomized and bounded so the suite stays fast and repeatable.
 """
@@ -19,11 +20,14 @@ from swarmherd import (
     DiscretizedState,
     EnvConfig,
     HerdingEnv,
+    LeaderState,
     QTable,
     decode_state,
     encode_state,
+    follower_transition_probs,
     num_states,
 )
+from swarmherd.dynamics import repel_density
 from swarmherd.environment import BACKENDS
 from swarmherd.errors import QTableFormatError
 from swarmherd.learner import _HEADER, FORMAT_VERSION, MAGIC, load_qtable, save_qtable
@@ -99,7 +103,7 @@ def test_step_matches_free_functions(cfg, seed, choices):
         followers_b, leader_b, r_b, t_b = oracles.reference_step(
             env, followers_b, leader_b, action, rng_b
         )
-        assert followers_a == followers_b.tolist()
+        assert list(followers_a) == followers_b.tolist()
         assert leader_a == leader_b
         assert r_a == r_b and t_a == t_b
     assert rng_a.random() == rng_b.random()
@@ -128,6 +132,30 @@ def test_state_index_matches_encode_of_discretize(cfg, data):
     vertex = data.draw(st.integers(0, cfg.num_vertices - 1))
     _, code = env.score(followers.tolist())
     assert vertex + cfg.num_vertices * code == oracles.state_index(env, followers, vertex)
+
+
+@SETTINGS
+@given(cfg=env_configs(), data=st.data())
+def test_mean_field_repel_memo_matches_references(cfg, data):
+    """Every repel on one env, memo hit or miss, returns the floats of a fresh
+    repel_density and of the oracle reward, mse and state index, down to the
+    sign of zero. Each call starts from one of a few densities (so most calls
+    hit) or from the followers the previous call returned."""
+    env = HerdingEnv(replace(cfg, backend="mean-field"))
+    m = cfg.num_vertices
+    starts = [list(_simplex(data.draw, m)) for _ in range(data.draw(st.integers(1, 4)))]
+    calls = st.tuples(st.integers(0, len(starts)), st.integers(0, m - 1))
+    followers = starts[0]
+    for i, v in data.draw(st.lists(calls, min_size=1, max_size=24)):
+        density = starts[i] if i < len(starts) else followers
+        shares = follower_transition_probs(env.graph, env.rates, LeaderState(v, 1), v).tolist()
+        expected = repel_density(list(density), v, env.graph.neighbors[v], shares)
+        followers, sq, code = env.repel(density, v, None)
+        assert type(followers) is tuple
+        assert [x.hex() for x in followers] == [x.hex() for x in expected]
+        assert (-sq).hex() == oracles.reward(expected, env.target).hex()
+        assert (sq / m).hex() == oracles.mse(expected, env.target).hex()
+        assert v + m * code == oracles.state_index(env, expected, v)
 
 
 @SETTINGS
