@@ -10,7 +10,6 @@ as possible.
 from .dynamics import (
     LeaderState,
     TransitionRates,
-    empirical_distribution,
     follower_transition_probs,
     mean_field_step,
     step_dtmc,
@@ -27,7 +26,7 @@ from .environment import (
     num_states,
     valid_actions,
 )
-from .graph import Graph, is_strongly_connected, make_grid, out_neighbors
+from .graph import Graph, make_grid
 from .harness import (
     EvalAggregate,
     EpisodeStats,
@@ -68,17 +67,14 @@ __all__ = [
     "apply_leader_action",
     "decode_state",
     "derive_seed",
-    "empirical_distribution",
     "encode_state",
     "evaluate",
     "follower_transition_probs",
-    "is_strongly_connected",
     "largest_remainder_counts",
     "load_qtable",
     "make_grid",
     "mean_field_step",
     "num_states",
-    "out_neighbors",
     "save_qtable",
     "step_dtmc",
     "sweep",

@@ -183,7 +183,17 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def build_env_config(cfg: dict, num_agents: int | None = None, backend: str | None = None) -> EnvConfig:
+def load_run_config(args) -> dict:
+    """:func:`load_config`, then the ``--seed`` and ``--backend`` flags, which win."""
+    cfg = load_config(args.config)
+    if args.seed is not None:
+        cfg["train"]["seed"] = args.seed
+    if args.backend is not None:
+        cfg["env"]["backend"] = args.backend
+    return cfg
+
+
+def build_env_config(cfg: dict, num_agents: int | None = None) -> EnvConfig:
     env = cfg["env"]
     return EnvConfig(
         rows=cfg["graph"]["rows"],
@@ -195,7 +205,7 @@ def build_env_config(cfg: dict, num_agents: int | None = None, backend: str | No
         initial_dist=env["initial_dist"],
         target_dist=env["target_dist"],
         max_iterations=env["max_iterations"],
-        backend=env["backend"] if backend is None else backend,
+        backend=env["backend"],
     )
 
 
@@ -203,9 +213,9 @@ def build_learner_config(cfg: dict) -> LearnerConfig:
     return LearnerConfig(**cfg["learner"])
 
 
-def build_train_config(cfg: dict, backend: str | None = None) -> TrainConfig:
+def build_train_config(cfg: dict) -> TrainConfig:
     return TrainConfig(
-        env=build_env_config(cfg, backend=backend),
+        env=build_env_config(cfg),
         learner=build_learner_config(cfg),
         episodes=cfg["train"]["episodes"],
         max_iters_per_episode=cfg["train"]["max_iters"],
@@ -339,10 +349,7 @@ def _training_meta(tc: TrainConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["train"]["seed"] = args.seed
-    train_cfg = build_train_config(cfg, backend=args.backend)
+    train_cfg = build_train_config(load_run_config(args))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     result = train(train_cfg)
@@ -363,20 +370,24 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     table = load_qtable(args.table)
-    cfg = load_config(args.config)
-    seed = cfg["train"]["seed"] if args.seed is None else args.seed
-    env_cfg = build_env_config(cfg, num_agents=args.n_test, backend=args.backend)
+    cfg = load_run_config(args)
+    env_cfg = build_env_config(cfg, num_agents=args.n_test)
     records, agg = evaluate(
         table,
         env_cfg,
         runs=args.runs,
         eval_max_iters=args.eval_max_iters,
         epsilon_eval=args.epsilon_eval,
-        seed=seed,
+        seed=cfg["train"]["seed"],
     )
+    # A sidecar that is missing, unreadable or not a JSON object with a
+    # "training" object leaves the training fields unknown.
     try:
-        meta = json.loads(sidecar_path(args.table).read_text()).get("training", {})
-    except (OSError, json.JSONDecodeError):
+        meta = json.loads(sidecar_path(args.table).read_text())
+    except (OSError, ValueError):
+        meta = {}
+    meta = meta.get("training") if isinstance(meta, dict) else None
+    if not isinstance(meta, dict):
         meta = {}
     algorithm = meta.get("algorithm", "unknown")
     n_train = meta.get("num_agents", 0)
@@ -422,9 +433,8 @@ def render_frame(env: HerdingEnv, iteration, action, followers, leader, mse_valu
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    seed = cfg["train"]["seed"] if args.seed is None else args.seed
-    env_cfg = build_env_config(cfg, backend=args.backend)
+    cfg = load_run_config(args)
+    env_cfg = build_env_config(cfg)
     if not 0.0 <= args.epsilon_eval <= 1.0:
         raise ConfigError(f"epsilon_eval={args.epsilon_eval} outside [0, 1]")
     table = None
@@ -434,7 +444,7 @@ def cmd_simulate(args) -> int:
         table = load_qtable(args.table)
         check_compatible(table, env_cfg)
     env = HerdingEnv(env_cfg)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg["train"]["seed"])
     followers, leader = env.reset(rng)
     followers = followers.tolist()
     m = env_cfg.num_vertices
@@ -467,19 +477,48 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _sweep_settings(cfg: dict) -> dict:
+    """What a sweep's results depend on besides its grid, as ``section.key``:
+    the resolved config without the [sweep] grid lists and name. ``train.seed``
+    is the master seed. Values are as JSON reads them back (tuples as lists)."""
+    return json.loads(json.dumps({
+        f"{section}.{key}": value
+        for section, values in cfg.items()
+        for key, value in values.items()
+        if section != "sweep"
+        or key not in ("algorithms", "n_train", "n_test", "betas", "mus", "bins", "name")
+    }))
+
+
+def _check_resumable(meta_path: Path, settings: dict) -> None:
+    """ConfigError unless ``meta_path`` holds exactly ``settings``."""
+    try:
+        saved = json.loads(meta_path.read_text())
+    except (OSError, ValueError):
+        raise ConfigError(f"cannot resume: no readable settings in {meta_path}") from None
+    if not isinstance(saved, dict):
+        raise ConfigError(f"cannot resume: {meta_path} does not hold a JSON object")
+    missing = object()
+    for key in (*settings, *saved):
+        if settings.get(key, missing) != saved.get(key, missing):
+            raise ConfigError(f"cannot resume: {key} differs from the settings in {meta_path}")
+
+
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    master_seed = cfg["train"]["seed"] if args.seed is None else args.seed
-    cells = expand_sweep(cfg, master_seed)
+    cfg = load_run_config(args)
+    cells = expand_sweep(cfg, cfg["train"]["seed"])
     if not cells:
         raise ConfigError("sweep grid is empty")
     sw = cfg["sweep"]
     out = Path(args.out_dir)
     agg_path = out / f"{sw['name']}_aggregate.csv"
     runs_path = out / f"{sw['name']}_runs.csv"
+    meta_path = sidecar_path(agg_path)
+    settings = _sweep_settings(cfg)
     keys = [_aggregate_key(c.train.learner.algorithm, c.train.env.num_agents, c.env) for c in cells]
     kept_rows, kept_runs = [], []
     if args.resume and agg_path.exists():
+        _check_resumable(meta_path, settings)
         # Keep the leading rows that match the grid's first cells: with seeds
         # drawn from grid positions, those are the rows a fresh run rewrites.
         for key, line in zip(keys, agg_path.read_text().splitlines()[1:]):
@@ -487,10 +526,15 @@ def cmd_sweep(args) -> int:
                 break
             kept_rows.append(line)
         if runs_path.exists():
-            kept_runs = [
-                line for line in runs_path.read_text().splitlines()[1:]
-                if int(line.split(",", 1)[0]) < len(kept_rows)
-            ]
+            for number, line in enumerate(runs_path.read_text().splitlines()[1:], start=2):
+                try:
+                    cell = int(line.split(",", 1)[0])
+                except ValueError:
+                    raise ConfigError(
+                        f"cannot resume: line {number} of {runs_path} is malformed: {line!r}"
+                    ) from None
+                if cell < len(kept_rows):
+                    kept_runs.append(line)
     pending = cells[len(kept_rows):]
     results = []
     if pending:
@@ -499,7 +543,7 @@ def cmd_sweep(args) -> int:
             runs=sw["runs"],
             eval_max_iters=sw["eval_max_iters"],
             epsilon_eval=sw["epsilon_eval"],
-            master_seed=master_seed,
+            master_seed=cfg["train"]["seed"],
             jobs=args.jobs,
         )
     agg_lines = [AGGREGATE_HEADER, *kept_rows]
@@ -507,8 +551,12 @@ def cmd_sweep(args) -> int:
     for cell, records, agg in results:
         agg_lines.append(_aggregate_line(keys[cell.index], agg))
         run_lines += [_run_line(cell.index, r) for r in records]
+    # Without a settings file no --resume trusts the rows, so it goes first
+    # and comes back last.
+    meta_path.unlink(missing_ok=True)
     _write_atomic(agg_path, "\n".join(agg_lines) + "\n")
     _write_atomic(runs_path, "\n".join(run_lines) + "\n")
+    _write_atomic(meta_path, json.dumps(settings, indent=2) + "\n")
     print(f"wrote {agg_path} ({len(agg_lines) - 1} cells)")
     return 0
 
@@ -583,7 +631,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="parallel training workers, at most one per training group")
     p.add_argument("--resume", action="store_true",
                    help="keep the leading aggregate rows (and their runs) that match "
-                        "the grid's first cells; compute the rest")
+                        "the grid's first cells; compute the rest. Refuses (exit 2) "
+                        "unless every non-grid setting matches the saved one")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("inspect", help="print a table's header and summary statistics")

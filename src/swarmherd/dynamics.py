@@ -11,12 +11,12 @@ flag is raised.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EmptySwarmError, InvalidRatesError, SimplexError
-from .graph import Graph, out_neighbors
+from .errors import InvalidRatesError, SimplexError
+from .graph import Graph
 
 SIMPLEX_ATOL = 1e-9
 
@@ -35,8 +35,9 @@ class TransitionRates:
     ``per_vertex[v][i]`` is the per-iteration probability that a follower at
     v hops to ``graph.neighbors[v][i]`` while the leader repels at v. The
     remaining probability mass stays put, so each per-vertex row must sum to
-    strictly less than 1. All experiments use a single uniform rate, but the
-    representation keeps one value per edge.
+    strictly less than 1. Every experiment uses one rate on all edges
+    (:meth:`uniform`); the rows still hold one value per edge, aligned with
+    ``graph.neighbors``.
     """
 
     per_vertex: tuple[tuple[float, ...], ...]
@@ -44,29 +45,17 @@ class TransitionRates:
     @classmethod
     def uniform(cls, g: Graph, rate: float) -> "TransitionRates":
         """The same rate on every non-self edge."""
-        return cls.from_edge_rates(
-            g, {(v, t): rate for v in range(g.num_vertices) for t in g.neighbors[v]}
-        )
-
-    @classmethod
-    def from_edge_rates(
-        cls, g: Graph, rates: Mapping[tuple[int, int], float]
-    ) -> "TransitionRates":
-        """Build from a mapping of (source, target) -> rate covering every non-self edge."""
-        per_vertex = []
-        for v in range(g.num_vertices):
-            try:
-                row = tuple(float(rates[(v, t)]) for t in g.neighbors[v])
-            except KeyError as missing:
-                raise InvalidRatesError(f"no rate given for edge {missing}") from None
-            if any(b <= 0.0 for b in row):
-                raise InvalidRatesError(f"transition rates must be positive (vertex {v})")
-            if sum(row) >= 1.0:
+        rate = float(rate)
+        # Written so that a NaN rate fails: every comparison with NaN is false.
+        if not rate > 0.0:
+            raise InvalidRatesError(f"transition rates must be positive, got {rate}")
+        rows = tuple((rate,) * len(nbrs) for nbrs in g.neighbors)
+        for v, row in enumerate(rows):
+            if not sum(row) < 1.0:
                 raise InvalidRatesError(
                     f"outgoing rates at vertex {v} sum to {sum(row)}; must stay below 1"
                 )
-            per_vertex.append(row)
-        return cls(tuple(per_vertex))
+        return cls(rows)
 
 
 def follower_transition_probs(
@@ -79,7 +68,7 @@ def follower_transition_probs(
     other leader configuration all mass stays. The returned vector sums to
     exactly 1.
     """
-    probs = np.zeros(len(out_neighbors(g, v)) + 1)
+    probs = np.zeros(len(g.neighbors[v]) + 1)
     row = rates.per_vertex[v] if leader.vertex == v and leader.flag == 1 else ()
     probs[: len(row)] = row
     probs[-1] = 1.0 - sum(row)
@@ -170,11 +159,3 @@ def mean_field_step(
     shares = follower_transition_probs(g, rates, leader, v).tolist()
     return np.array(repel_density(density.tolist(), v, g.neighbors[v], shares))
 
-
-def empirical_distribution(counts: np.ndarray) -> np.ndarray:
-    """Fraction of agents at each vertex (counts / total)."""
-    counts = np.asarray(counts, dtype=np.int64)
-    total = int(counts.sum())
-    if total <= 0:
-        raise EmptySwarmError("empirical distribution needs at least one agent")
-    return counts / total

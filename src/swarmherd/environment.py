@@ -67,8 +67,6 @@ def valid_actions(g: Graph, vertex: int) -> tuple[Action, ...]:
     The order is the canonical [Left, Right, Up, Down, Stay] filtered to
     existing neighbors; Stay is always last and always present.
     """
-    if g.rows is None or g.cols is None:
-        raise ValueError("valid_actions needs a grid graph (rows/cols unknown)")
     if not 0 <= vertex < g.num_vertices:
         raise IndexError(f"vertex {vertex} out of range")
     r, c = divmod(vertex, g.cols)
@@ -195,8 +193,9 @@ class EnvConfig:
         object.__setattr__(self, "target_dist", tuple(float(x) + 0.0 for x in self.target_dist))
         if self.rows < 1 or self.cols < 1 or self.rows * self.cols < 2:
             raise ConfigError(f"invalid grid dimensions {self.rows}x{self.cols}")
-        if self.num_agents < 1:
-            raise ConfigError("num_agents must be at least 1")
+        # Below 2**53 every count, and density * num_agents, is exact in a float.
+        if not 1 <= self.num_agents < 2**53:
+            raise ConfigError(f"num_agents={self.num_agents} invalid: need 1 <= num_agents < 2**53")
         if self.bins < 1:
             raise ConfigError("bins must be at least 1")
         if not 0.0 < self.mu < math.inf:

@@ -17,10 +17,6 @@ class SimplexError(SwarmHerdError, ValueError):
     """A density vector is not on the probability simplex."""
 
 
-class EmptySwarmError(SwarmHerdError, ValueError):
-    """Operation requires at least one follower agent."""
-
-
 class InvalidActionError(SwarmHerdError, ValueError):
     """Leader action not available at the current vertex."""
 

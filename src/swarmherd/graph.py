@@ -1,65 +1,26 @@
-"""Directed graphs with self-edges at every vertex, plus grid construction.
+"""Grid graphs: bidirected lattices with a self-edge at every vertex.
 
-Vertices are numbered 0..M-1. Grid graphs use row-major numbering: vertex
-r*cols + c sits at row r, column c.
+Vertices use row-major numbering: vertex r*cols + c sits at row r, column c.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable directed graph with a self-edge at every vertex.
+    """Immutable rows x cols grid with a self-edge at every vertex.
 
-    ``neighbors[v]`` holds the non-self targets of edges leaving v in
-    ascending order. That order is canonical: action indexing, multinomial
-    categories, and the Q-table layout all derive from it, so it must never
-    depend on construction order.
-
-    ``rows``/``cols`` record the lattice shape for graphs built by
-    :func:`make_grid` and are ``None`` for explicit edge lists.
+    ``neighbors[v]`` holds the non-self neighbors of v in ascending order.
+    That order is canonical: action indexing, multinomial categories, and
+    the Q-table layout all derive from it.
     """
 
     num_vertices: int
-    edges: frozenset[tuple[int, int]]
     neighbors: tuple[tuple[int, ...], ...]
-    rows: int | None = None
-    cols: int | None = None
-
-    @classmethod
-    def from_edges(
-        cls,
-        num_vertices: int,
-        edges: Iterable[tuple[int, int]],
-        rows: int | None = None,
-        cols: int | None = None,
-    ) -> "Graph":
-        """Build a graph from an explicit edge list (self-edges included).
-
-        Strong connectivity is intentionally not enforced here so that
-        counterexamples can be constructed; use :func:`is_strongly_connected`
-        to check it.
-        """
-        if num_vertices < 1:
-            raise ValueError("graph needs at least one vertex")
-        edge_list = [(int(s), int(t)) for s, t in edges]
-        edge_set = set(edge_list)
-        if len(edge_set) != len(edge_list):
-            raise ValueError("duplicate edges in edge list")
-        for s, t in edge_set:
-            if not (0 <= s < num_vertices and 0 <= t < num_vertices):
-                raise ValueError(f"edge ({s}, {t}) out of range for {num_vertices} vertices")
-        for v in range(num_vertices):
-            if (v, v) not in edge_set:
-                raise ValueError(f"vertex {v} is missing its self-edge")
-        nbrs = tuple(
-            tuple(sorted(t for s, t in edge_set if s == v and t != v))
-            for v in range(num_vertices)
-        )
-        return cls(num_vertices, frozenset(edge_set), nbrs, rows, cols)
+    rows: int
+    cols: int
 
 
 def make_grid(rows: int, cols: int) -> Graph:
@@ -73,41 +34,18 @@ def make_grid(rows: int, cols: int) -> Graph:
         raise ValueError(f"grid dimensions must be at least 1, got {rows}x{cols}")
     if rows * cols < 2:
         raise ValueError("grid needs at least two vertices")
-    edges = [(v, v) for v in range(rows * cols)]
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                edges.append((v, v + 1))
-                edges.append((v + 1, v))
-            if r + 1 < rows:
-                edges.append((v, v + cols))
-                edges.append((v + cols, v))
-    return Graph.from_edges(rows * cols, edges, rows=rows, cols=cols)
-
-
-def out_neighbors(g: Graph, v: int) -> tuple[int, ...]:
-    """Non-self out-neighbors of v, sorted ascending."""
-    if not 0 <= v < g.num_vertices:
-        raise IndexError(f"vertex {v} out of range for {g.num_vertices} vertices")
-    return g.neighbors[v]
-
-
-def is_strongly_connected(g: Graph) -> bool:
-    """True iff every vertex is reachable from every other along directed edges."""
-
-    def covers(adj) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            for t in adj[stack.pop()]:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return len(seen) == g.num_vertices
-
-    reverse: list[list[int]] = [[] for _ in range(g.num_vertices)]
-    for v in range(g.num_vertices):
-        for t in g.neighbors[v]:
-            reverse[t].append(v)
-    return covers(g.neighbors) and covers(reverse)
+    nbrs = []
+    for v in range(rows * cols):
+        r, c = divmod(v, cols)
+        # Up, left, right, down: ascending vertex order.
+        row = []
+        if r > 0:
+            row.append(v - cols)
+        if c > 0:
+            row.append(v - 1)
+        if c + 1 < cols:
+            row.append(v + 1)
+        if r + 1 < rows:
+            row.append(v + cols)
+        nbrs.append(tuple(row))
+    return Graph(rows * cols, tuple(nbrs), rows, cols)

@@ -110,8 +110,9 @@ def train(cfg: TrainConfig) -> TrainResult:
     moves and rescores them, so a move step keeps the previous reward,
     terminal test and follower code.
     """
-    env = HerdingEnv(cfg.env)
+    # The table first: its size check refuses an oversized grid before any work.
     table = QTable.zeros(cfg.env.bins, cfg.env.rows, cfg.env.cols)
+    env = HerdingEnv(cfg.env)
     rng = np.random.default_rng(cfg.seed)
     values = table.values
     alpha = cfg.learner.alpha

@@ -52,9 +52,15 @@ class QTable:
         m = rows * cols
         nbytes = num_states(bins, m) * actions * 8
         if nbytes > MAX_TABLE_BYTES:
+            # Integer arithmetic only: a large grid's size overflows a float
+            # and has too many digits to print.
+            size = (
+                f"{nbytes} bytes ({nbytes >> 30} GiB)" if nbytes < 2**64
+                else f"over 2^{nbytes.bit_length() - 1} bytes"
+            )
             raise ConfigError(
-                f"a {rows}x{cols} table at {bins} bins needs {nbytes} bytes "
-                f"({nbytes / 2**30:.1f} GiB), above the {MAX_TABLE_BYTES // 2**30} GiB limit"
+                f"a {rows}x{cols} table at {bins} bins needs {size}, "
+                f"above the {MAX_TABLE_BYTES >> 30} GiB limit"
             )
         return cls(
             values=np.zeros((num_states(bins, m), actions)),

@@ -111,6 +111,8 @@ def qlearning_write(values, s, a, r, s2, valid2, alpha, gamma, terminal=False) -
 def mean_field_matrix_step(g, rates, leader, density):
     """Propagate a density by explicitly summing per-edge routing matrices.
 
+    The grid's edges come from vertex coordinates: (src, dst) is an edge
+    when the two sit at Manhattan distance at most 1, self-edges included.
     Each edge e contributes u_e * B_e where B_e has a single 1 at
     (target(e), source(e)) and u_e is the edge's transition coefficient
     under the given leader state (rate on outgoing edges at a repelling
@@ -121,7 +123,13 @@ def mean_field_matrix_step(g, rates, leader, density):
     density = np.asarray(density, dtype=np.float64)
     out = np.zeros(m)
     repelling = leader.flag == 1
-    for src, dst in sorted(g.edges):
+    edges = [
+        (src, dst)
+        for src in range(m)
+        for dst in range(m)
+        if abs(src // g.cols - dst // g.cols) + abs(src % g.cols - dst % g.cols) <= 1
+    ]
+    for src, dst in edges:
         if src == dst:
             if repelling and leader.vertex == src:
                 u = 1.0 - sum(rates.per_vertex[src])

@@ -183,6 +183,24 @@ def test_train_refuses_oversized_table_without_allocating(tmp_path, capsys):
     assert peak < 10 * 2**20
 
 
+def test_train_refuses_a_20x20_grid(tmp_path, capsys):
+    config = tmp_path / "big.ini"
+    zeros = ", ".join(["0"] * 399)
+    config.write_text(
+        "[graph]\nrows = 20\ncols = 20\n\n[env]\n"
+        f"initial_dist = 1, {zeros}\ntarget_dist = {zeros}, 1\n"
+    )
+    assert main(["train", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "20x20 table" in capsys.readouterr().err
+
+
+def test_num_agents_beyond_exact_floats_is_a_config_error(tmp_path, smoke_config, monkeypatch,
+                                                           capsys):
+    monkeypatch.setenv("SWHERD_ENV_NUM_AGENTS", "100000000000000000000")
+    assert main(["train", "--config", smoke_config, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "num_agents" in capsys.readouterr().err
+
+
 def test_train_unwritable_out_dir_is_io_error(tmp_path, smoke_config, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("already a file")
@@ -210,6 +228,14 @@ def test_evaluate_emits_records_and_aggregate(tmp_path, smoke_config, trained_di
     assert fields[0] == "qlearning"
     assert fields[1] == "10" and fields[2] == "10"
     assert "mean_iterations" in capsys.readouterr().out
+
+
+def test_evaluate_ignores_a_sidecar_that_is_not_an_object(tmp_path, smoke_config, trained_dir):
+    (trained_dir / "qtable.swhq.meta.json").write_text("[1]\n")
+    out = tmp_path / "eval"
+    assert main(["evaluate", str(trained_dir / "qtable.swhq"), "--config", smoke_config,
+                 "--runs", "5", "--out-dir", str(out)]) == 0
+    assert (out / "eval_aggregate.csv").read_text().splitlines()[1].startswith("unknown,0,10,")
 
 
 def test_evaluate_n_test_override(tmp_path, smoke_config, trained_dir):
@@ -443,7 +469,9 @@ def test_simulate_matches_step_by_step_reference(tmp_path, smoke_config, trained
             capsys.readouterr()
             assert main(args + ([table] if table else [])) == 0
             shown = capsys.readouterr().out
-            env_cfg = build_env_config(load_config(config), backend=backend)
+            cfg = load_config(config)
+            cfg["env"]["backend"] = backend
+            env_cfg = build_env_config(cfg)
             values = load_qtable(table).values if table else None
             trace, frames, converged = _reference_simulate(env_cfg, values, epsilon, seed)
             assert (out / "trace.csv").read_text() == trace
@@ -535,6 +563,60 @@ def test_sweep_resume_skips_done_cells_and_matches_bytes(tmp_path, sweep_config)
     assert main(["sweep", "--config", sweep_config, "--out-dir", str(resumed), "--resume"]) == 0
     assert (resumed / "demo_aggregate.csv").read_bytes() == (full / "demo_aggregate.csv").read_bytes()
     assert (resumed / "demo_runs.csv").read_bytes() == (full / "demo_runs.csv").read_bytes()
+
+
+def test_sweep_backend_flag_matches_env_var(tmp_path, sweep_config, monkeypatch):
+    flagged, dtmc, via_env = tmp_path / "flagged", tmp_path / "dtmc", tmp_path / "env"
+    assert main(["sweep", "--config", sweep_config, "--out-dir", str(flagged),
+                 "--backend", "mean-field"]) == 0
+    assert main(["sweep", "--config", sweep_config, "--out-dir", str(dtmc)]) == 0
+    monkeypatch.setenv("SWHERD_ENV_BACKEND", "mean-field")
+    assert main(["sweep", "--config", sweep_config, "--out-dir", str(via_env)]) == 0
+    for name in ("demo_aggregate.csv", "demo_runs.csv"):
+        assert (flagged / name).read_bytes() == (via_env / name).read_bytes()
+    assert (flagged / "demo_runs.csv").read_bytes() != (dtmc / "demo_runs.csv").read_bytes()
+
+
+def test_sweep_writes_its_settings_beside_the_aggregate(tmp_path, sweep_config):
+    out = tmp_path / "sweep_out"
+    assert main(["sweep", "--config", sweep_config, "--out-dir", str(out), "--seed", "7"]) == 0
+    settings = json.loads((out / "demo_aggregate.csv.meta.json").read_text())
+    assert settings["train.seed"] == 7
+    assert settings["sweep.runs"] == 5
+    assert settings["env.initial_dist"] == [1.0, 0.0]
+    for key in ("algorithms", "n_train", "n_test", "betas", "mus", "bins", "name"):
+        assert f"sweep.{key}" not in settings
+
+
+def test_sweep_resume_refuses_other_settings(tmp_path, sweep_config, capsys):
+    out = tmp_path / "sweep_out"
+    sweep = ["sweep", "--config", sweep_config, "--out-dir", str(out)]
+    assert main(sweep) == 0
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    other_runs = tmp_path / "runs.ini"
+    other_runs.write_text(SWEEP_CONFIG.replace("runs = 5", "runs = 6"))
+    refusals = [
+        (["--resume", "--seed", "7"], "train.seed"),
+        (["--resume", "--config", str(other_runs)], "sweep.runs"),
+        (["--resume", "--backend", "mean-field"], "env.backend"),
+    ]
+    for extra, key in refusals:
+        assert main(sweep + extra) == 2
+        assert key in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == files
+    # A settings file that is missing or not an object, and a malformed runs line.
+    meta = out / "demo_aggregate.csv.meta.json"
+    for text in (None, "[1]"):
+        meta.unlink(missing_ok=True)
+        if text is not None:
+            meta.write_text(text)
+        assert main(sweep + ["--resume"]) == 2
+        assert "cannot resume" in capsys.readouterr().err
+    assert main(sweep) == 0
+    runs = out / "demo_runs.csv"
+    runs.write_text(runs.read_text() + "garbage\n")
+    assert main(sweep + ["--resume"]) == 2
+    assert "garbage" in capsys.readouterr().err
 
 
 def test_sweep_unset_lists_take_env_and_learner_values(tmp_path):

@@ -5,14 +5,13 @@ from swarmherd import (
     LeaderState,
     TransitionRates,
     apply_leader_action,
-    empirical_distribution,
     follower_transition_probs,
     make_grid,
     mean_field_step,
     step_dtmc,
     valid_actions,
 )
-from swarmherd.errors import EmptySwarmError, InvalidRatesError, SimplexError
+from swarmherd.errors import InvalidRatesError, SimplexError
 
 from oracles import mean_field_matrix_step
 
@@ -45,9 +44,16 @@ def test_rates_must_be_positive(grid):
         TransitionRates.uniform(grid, -0.1)
 
 
-def test_rates_must_cover_every_edge(grid):
+def test_rates_reject_nan(grid):
     with pytest.raises(InvalidRatesError):
-        TransitionRates.from_edge_rates(grid, {(0, 1): 0.1})
+        TransitionRates.uniform(grid, float("nan"))
+
+
+def test_rates_must_cover_every_edge():
+    for g in (make_grid(1, 2), make_grid(2, 2), make_grid(3, 4)):
+        rates = TransitionRates.uniform(g, 0.1)
+        assert [len(row) for row in rates.per_vertex] == [len(n) for n in g.neighbors]
+        assert all(b == 0.1 for row in rates.per_vertex for b in row)
 
 
 # --- follower transition probabilities --------------------------------------
@@ -179,16 +185,6 @@ def test_mean_field_matches_matrix_oracle(grid, rates):
         fast = mean_field_step(grid, rates, leader, dens)
         slow = mean_field_matrix_step(grid, rates, leader, dens)
         assert np.all(np.abs(fast - slow) < 1e-12)
-
-
-# --- empirical distribution --------------------------------------------------
-
-def test_empirical_examples():
-    assert empirical_distribution(np.array([40, 10, 10, 40])).tolist() == [0.4, 0.1, 0.1, 0.4]
-    assert empirical_distribution(np.array([10, 0, 0, 0])).tolist() == [1.0, 0.0, 0.0, 0.0]
-    assert empirical_distribution(np.array([1, 1, 1, 1])).tolist() == [0.25] * 4
-    with pytest.raises(EmptySwarmError):
-        empirical_distribution(np.array([0, 0, 0, 0]))
 
 
 # --- law of large numbers (light version; the full sweep runs in acceptance) --

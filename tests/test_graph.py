@@ -1,22 +1,39 @@
 import pytest
 
-from swarmherd import Graph, is_strongly_connected, make_grid, out_neighbors
+from swarmherd import make_grid
+
+
+def grid_neighbors(rows, cols, v):
+    """The coordinate rule: the other vertices at Manhattan distance 1, ascending."""
+    r, c = divmod(v, cols)
+    return tuple(
+        t for t in range(rows * cols) if abs(t // cols - r) + abs(t % cols - c) == 1
+    )
+
+
+def reachable(neighbors, start=0):
+    seen = {start}
+    stack = [start]
+    while stack:
+        for t in neighbors[stack.pop()]:
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen
 
 
 def test_make_grid_2x2_edge_set():
     g = make_grid(2, 2)
     assert g.num_vertices == 4
-    non_self = {e for e in g.edges if e[0] != e[1]}
-    assert non_self == {(0, 1), (1, 0), (0, 2), (2, 0), (1, 3), (3, 1), (2, 3), (3, 2)}
-    assert all((v, v) in g.edges for v in range(4))
+    assert g.neighbors == ((1, 2), (0, 3), (0, 3), (1, 2))
     assert g.rows == 2 and g.cols == 2
 
 
 def test_make_grid_1x2():
     g = make_grid(1, 2)
     assert g.num_vertices == 2
-    assert {e for e in g.edges if e[0] != e[1]} == {(0, 1), (1, 0)}
-    assert all((v, v) in g.edges for v in range(2))
+    assert g.neighbors == ((1,), (0,))
+    assert g.rows == 1 and g.cols == 2
 
 
 @pytest.mark.parametrize("rows,cols", [(0, 2), (2, 0), (-1, 3), (1, 1)])
@@ -27,63 +44,26 @@ def test_make_grid_invalid_dimensions(rows, cols):
 
 def test_out_neighbors_2x2():
     g = make_grid(2, 2)
-    assert out_neighbors(g, 0) == (1, 2)
-    assert out_neighbors(g, 3) == (1, 2)
+    assert g.neighbors[0] == (1, 2)
+    assert g.neighbors[3] == (1, 2)
 
 
 def test_out_neighbors_1x2():
-    assert out_neighbors(make_grid(1, 2), 0) == (1,)
-
-
-def test_out_neighbors_out_of_range():
-    g = make_grid(2, 2)
-    with pytest.raises(IndexError):
-        out_neighbors(g, 4)
-    with pytest.raises(IndexError):
-        out_neighbors(g, -1)
+    assert make_grid(1, 2).neighbors[0] == (1,)
 
 
 def test_strong_connectivity_grid():
-    assert is_strongly_connected(make_grid(2, 2))
-
-
-def test_strong_connectivity_one_way_pair_fails():
-    g = Graph.from_edges(2, [(0, 0), (1, 1), (0, 1)])
-    assert not is_strongly_connected(g)
-
-
-def test_strong_connectivity_single_vertex():
-    g = Graph.from_edges(1, [(0, 0)])
-    assert is_strongly_connected(g)
-
-
-def test_from_edges_rejects_duplicates():
-    with pytest.raises(ValueError, match="duplicate"):
-        Graph.from_edges(2, [(0, 0), (1, 1), (0, 1), (0, 1)])
-
-
-def test_from_edges_requires_self_edges():
-    with pytest.raises(ValueError, match="self-edge"):
-        Graph.from_edges(2, [(0, 0), (0, 1), (1, 0)])
-
-
-def test_from_edges_rejects_out_of_range_endpoints():
-    with pytest.raises(ValueError, match="out of range"):
-        Graph.from_edges(2, [(0, 0), (1, 1), (0, 2)])
+    # Every grid is strongly connected: its edges are bidirected and it is connected.
+    for rows, cols in ((1, 2), (2, 2), (3, 3), (5, 4)):
+        g = make_grid(rows, cols)
+        assert reachable(g.neighbors) == set(range(g.num_vertices))
 
 
 @pytest.mark.parametrize("rows,cols", [(1, 2), (2, 2), (3, 3), (1, 5), (4, 2), (5, 4)])
 def test_grid_properties(rows, cols):
     g = make_grid(rows, cols)
-    # bidirectedness: in-degree equals out-degree at every vertex
-    non_self = [e for e in g.edges if e[0] != e[1]]
-    for v in range(g.num_vertices):
-        out_deg = sum(1 for s, _ in non_self if s == v)
-        in_deg = sum(1 for _, t in non_self if t == v)
-        assert out_deg == in_deg
-    assert is_strongly_connected(g)
-    for v in range(g.num_vertices):
-        nbrs = out_neighbors(g, v)
-        assert v not in nbrs
-        assert list(nbrs) == sorted(nbrs)
-        assert all(nbrs[i] < nbrs[i + 1] for i in range(len(nbrs) - 1))
+    assert (g.rows, g.cols, g.num_vertices) == (rows, cols, rows * cols)
+    assert g.neighbors == tuple(grid_neighbors(rows, cols, v) for v in range(rows * cols))
+    # bidirectedness: t is a neighbor of v exactly when v is a neighbor of t
+    for v, nbrs in enumerate(g.neighbors):
+        assert all(v in g.neighbors[t] for t in nbrs)
