@@ -11,53 +11,65 @@ Run: python demos/propagators.py
 
 import numpy as np
 
-from swarmherd import (
-    LeaderState,
-    TransitionRates,
-    apply_leader_action,
-    largest_remainder_counts,
-    make_grid,
-    mean_field_step,
-    step_dtmc,
-    valid_actions,
-)
+from swarmherd import EnvConfig, HerdingEnv, LeaderState, largest_remainder_counts
 
-## A 2x2 grid: vertices 0..3 in row-major order, every vertex has a self-edge.
-g = make_grid(2, 2)
-print("vertices:", g.num_vertices)
-print("neighbors per vertex:", g.neighbors)
 
-## Uniform departure rate 0.1 per outgoing edge while the leader repels.
-rates = TransitionRates.uniform(g, 0.1)
-initial = np.array([0.4, 0.1, 0.1, 0.4])
+## A 2x2 grid, vertices 0..3 in row-major order. While the leader repels,
+## followers leave its vertex at rate beta = 0.1 along each grid edge.
+def herding_env(num_agents=100, backend="dtmc"):
+    return HerdingEnv(EnvConfig(
+        rows=2,
+        cols=2,
+        num_agents=num_agents,
+        beta=0.1,
+        bins=10,
+        mu=0.0025,
+        initial_dist=(0.4, 0.1, 0.1, 0.4),
+        target_dist=(0.1, 0.4, 0.4, 0.1),
+        backend=backend,
+    ))
+
+
+mean_field = herding_env(backend="mean-field")
+print("vertices:", mean_field.graph.num_vertices)
+print("neighbors per vertex:", mean_field.graph.neighbors)
+initial = mean_field.initial.tolist()
 
 ## One deterministic density step with a repelling leader at vertex 0:
-## 10% of the local mass leaves along each edge, the rest stays.
-leader = LeaderState(0, 1)
+## 10% of the local mass leaves along each edge, the rest stays. repel
+## also returns the squared distance to the target and the state code.
+density, sq, _ = mean_field.repel(initial, 0, None)
 print("\ndensity before:", initial)
-print("density after: ", mean_field_step(g, rates, leader, initial))
+print("density after: ", list(density), f"(squared error {sq:.4f})")
 
 ## The same step on 100 integer agents is a multinomial draw.
+counts_env = herding_env(num_agents=100)
 rng = np.random.default_rng(7)
-counts = largest_remainder_counts(initial, 100)
+counts = largest_remainder_counts(mean_field.initial, 100).tolist()
 print("\ncounts before:", counts)
-print("counts after: ", step_dtmc(g, rates, leader, counts, rng))
+print("counts after: ", counts_env.repel(counts, 0, rng)[0])
 
-## Run both propagators for 100 iterations under one leader script and
+
+## Run both backends for 100 iterations under one leader script and
 ## measure the largest per-vertex gap, averaged over 20 random streams.
-def final_gap(num_agents, seed):
+## A move (flag down) leaves the followers where they are.
+def final_gap(env, seed):
     rng = np.random.default_rng(seed)
-    counts = largest_remainder_counts(initial, num_agents)
-    density = initial.copy()
+    n = env.cfg.num_agents
+    counts = largest_remainder_counts(env.initial, n).tolist()
+    density = initial
     leader = LeaderState(0, 0)
     for k in range(100):
-        acts = valid_actions(g, leader.vertex)
-        leader = apply_leader_action(g, leader, acts[k % len(acts)])
-        counts = step_dtmc(g, rates, leader, counts, rng)
-        density = mean_field_step(g, rates, leader, density)
-    return np.max(np.abs(counts / num_agents - density))
+        acts = env.action_ids[leader.vertex]
+        leader = env.moves[leader.vertex][acts[k % len(acts)]]
+        if leader.flag:
+            counts, _, _ = env.repel(counts, leader.vertex, rng)
+            density, _, _ = mean_field.repel(density, leader.vertex, None)
+    return np.max(np.abs(np.array(counts) / n - np.array(density)))
+
 
 print("\npopulation   mean L-inf gap after 100 iterations")
 for n in (100, 1_000, 10_000, 100_000):
-    gap = np.mean([final_gap(n, seed) for seed in range(20)])
+    env = herding_env(num_agents=n)
+    gap = np.mean([final_gap(env, seed) for seed in range(20)])
     print(f"{n:>10}   {gap:.5f}")

@@ -7,13 +7,7 @@ leader so the population reaches a target distribution in as few iterations
 as possible.
 """
 
-from .dynamics import (
-    LeaderState,
-    TransitionRates,
-    follower_transition_probs,
-    mean_field_step,
-    step_dtmc,
-)
+from .dynamics import LeaderState
 from .environment import (
     Action,
     DiscretizedState,
@@ -63,20 +57,16 @@ __all__ = [
     "SweepCell",
     "TrainConfig",
     "TrainResult",
-    "TransitionRates",
     "apply_leader_action",
     "decode_state",
     "derive_seed",
     "encode_state",
     "evaluate",
-    "follower_transition_probs",
     "largest_remainder_counts",
     "load_qtable",
     "make_grid",
-    "mean_field_step",
     "num_states",
     "save_qtable",
-    "step_dtmc",
     "sweep",
     "train",
     "valid_actions",

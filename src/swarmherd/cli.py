@@ -504,6 +504,14 @@ def _check_resumable(meta_path: Path, settings: dict) -> None:
             raise ConfigError(f"cannot resume: {key} differs from the settings in {meta_path}")
 
 
+def _resumed_lines(path: Path) -> list[str]:
+    """Data lines of a sweep output that --resume reuses; ConfigError unless UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8").splitlines()[1:]
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot resume: {path} is not UTF-8 text: {exc}") from None
+
+
 def cmd_sweep(args) -> int:
     cfg = load_run_config(args)
     cells = expand_sweep(cfg, cfg["train"]["seed"])
@@ -521,12 +529,12 @@ def cmd_sweep(args) -> int:
         _check_resumable(meta_path, settings)
         # Keep the leading rows that match the grid's first cells: with seeds
         # drawn from grid positions, those are the rows a fresh run rewrites.
-        for key, line in zip(keys, agg_path.read_text().splitlines()[1:]):
+        for key, line in zip(keys, _resumed_lines(agg_path)):
             if line.rsplit(",", 4)[0] != key:
                 break
             kept_rows.append(line)
         if runs_path.exists():
-            for number, line in enumerate(runs_path.read_text().splitlines()[1:], start=2):
+            for number, line in enumerate(_resumed_lines(runs_path), start=2):
                 try:
                     cell = int(line.split(",", 1)[0])
                 except ValueError:

@@ -19,18 +19,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dynamics import (
-    SIMPLEX_ATOL,
-    LeaderState,
-    TransitionRates,
-    follower_transition_probs,
-    repel_counts,
-    repel_density,
-)
+from .dynamics import LeaderState, repel_counts, repel_density
 from .errors import ConfigError, EncodingError, InvalidActionError
 from .graph import Graph, make_grid
 
 BACKENDS = ("dtmc", "mean-field")
+# How far from 1 a configured distribution's sum may be.
+SIMPLEX_ATOL = 1e-9
 # Most mean-field repel results one HerdingEnv keeps. Training the 2x2 grid
 # at 20 bins stores 16,665 (about 6.3 MB); past the limit a result is
 # computed and not stored.
@@ -222,7 +217,7 @@ class EnvConfig:
 
 
 class HerdingEnv:
-    """Grid graph, rates, and per-vertex lookup tables bundled for fast stepping.
+    """Grid graph and per-vertex lookup tables bundled for fast stepping.
 
     Instances hold no episode state, so one env can serve any number of
     concurrent episodes as long as each uses its own random stream. One
@@ -237,7 +232,6 @@ class HerdingEnv:
     def __init__(self, cfg: EnvConfig):
         self.cfg = cfg
         self.graph = make_grid(cfg.rows, cfg.cols)
-        self.rates = TransitionRates.uniform(self.graph, cfg.beta)
         self.initial = np.asarray(cfg.initial_dist, dtype=np.float64)
         self.target = np.asarray(cfg.target_dist, dtype=np.float64)
         m = self.graph.num_vertices
@@ -248,15 +242,13 @@ class HerdingEnv:
             for v in range(m)
         )
         self._counts_backend = cfg.backend == "dtmc"
-        # Per-vertex repel categories, as step_dtmc and mean_field_step use them:
-        # an array for the multinomial draw, plain floats for the density flow.
-        repel_probs = tuple(
-            follower_transition_probs(self.graph, self.rates, LeaderState(v, 1), v)
-            for v in range(m)
-        )
-        self._repel_shares = (
-            repel_probs if self._counts_backend else tuple(p.tolist() for p in repel_probs)
-        )
+        # Per-vertex repel shares: beta toward each sorted neighbor, then the
+        # stay share; an array for the multinomial draw, plain floats for the
+        # density flow.
+        beta = float(cfg.beta)
+        as_shares = np.array if self._counts_backend else list
+        rows = ((beta,) * len(nbrs) for nbrs in self.graph.neighbors)
+        self._repel_shares = tuple(as_shares((*row, 1.0 - sum(row))) for row in rows)
         self._initial_counts = largest_remainder_counts(self.initial, cfg.num_agents)
         # Dividing a density by 1 is exact, so one kernel serves both backends.
         self._scale = cfg.num_agents if self._counts_backend else 1

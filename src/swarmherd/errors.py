@@ -9,14 +9,6 @@ class ConfigError(SwarmHerdError, ValueError):
     """Invalid configuration value or malformed config file."""
 
 
-class InvalidRatesError(SwarmHerdError, ValueError):
-    """Transition rates violate positivity or the per-vertex sum bound."""
-
-
-class SimplexError(SwarmHerdError, ValueError):
-    """A density vector is not on the probability simplex."""
-
-
 class InvalidActionError(SwarmHerdError, ValueError):
     """Leader action not available at the current vertex."""
 

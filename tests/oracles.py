@@ -5,22 +5,18 @@ builds one routing matrix per edge and sums them, the policy oracle runs
 exhaustive value iteration over every encoded state instead of
 temporal-difference learning, and the step, state, selection and TD
 references below spell out on numpy arrays what the training, evaluation
-and simulate loops do on plain values. None of them calls the loop kernels
-(``HerdingEnv.repel``/``score``, ``td_update``, ``max_action_value``,
-``greedy_action_index``), so a fault there shows as a mismatch.
+and simulate loops do on plain values. Neighbors come from grid
+coordinates and repel shares from ``beta``. None of them calls the loop
+kernels (``HerdingEnv.repel``/``score`` and the ``dynamics`` functions
+under them, ``td_update``, ``max_action_value``, ``greedy_action_index``),
+so a fault there shows as a mismatch.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from swarmherd import (
-    HerdingEnv,
-    LeaderState,
-    apply_leader_action,
-    mean_field_step,
-    step_dtmc,
-)
+from swarmherd import HerdingEnv, LeaderState, apply_leader_action
 from swarmherd.environment import (
     DiscretizedState,
     decode_state,
@@ -64,18 +60,48 @@ def state_index(env: HerdingEnv, followers, leader_vertex: int) -> int:
     return encode_state(DiscretizedState(fractions, leader_vertex), cfg.bins, cfg.num_vertices)
 
 
-def reference_step(env: HerdingEnv, followers, leader: LeaderState, action, rng):
-    """One iteration through the documented propagators.
+def grid_neighbors(rows: int, cols: int, v: int) -> list[int]:
+    """Vertices at Manhattan distance 1 from v on a rows x cols grid, ascending."""
+    r, c = divmod(v, cols)
+    return [u for u in range(rows * cols) if abs(u // cols - r) + abs(u % cols - c) == 1]
 
-    Returns (followers', leader', reward, terminal); the followers step
-    through ``step_dtmc`` or ``mean_field_step``, which draw from ``rng``
+
+def edge_shares(beta: float, degree: int) -> np.ndarray:
+    """Share of a repelled vertex's mass per outgoing edge, then the share that
+    stays; the stay share subtracts the edge shares one by one."""
+    row = [float(beta)] * degree
+    return np.array(row + [1.0 - sum(row)])
+
+
+def follower_step(env: HerdingEnv, followers, leader: LeaderState, rng) -> np.ndarray:
+    """Followers after one iteration with the leader at ``leader``.
+
+    A passive leader leaves them as they are and draws nothing. A repelling
+    leader at v splits the mass at v by :func:`edge_shares` over v's grid
+    neighbors and v itself: with counts one ``rng.multinomial`` draw, with a
+    density the shares times density[v].
+    """
+    dtmc = env.cfg.backend == "dtmc"
+    followers = np.array(followers, dtype=np.int64 if dtmc else np.float64)
+    if leader.flag != 1:
+        return followers
+    v = leader.vertex
+    nbrs = grid_neighbors(env.cfg.rows, env.cfg.cols, v)
+    shares = edge_shares(env.cfg.beta, len(nbrs))
+    moved = rng.multinomial(followers[v], shares) if dtmc else shares * followers[v]
+    followers[nbrs] += moved[:-1]
+    followers[v] = moved[-1]
+    return followers
+
+
+def reference_step(env: HerdingEnv, followers, leader: LeaderState, action, rng):
+    """One iteration: the leader acts, then the followers react (:func:`follower_step`).
+
+    Returns (followers', leader', reward, terminal); ``rng`` is drawn from
     only when the leader repels.
     """
     leader = apply_leader_action(env.graph, leader, action)
-    if env.cfg.backend == "dtmc":
-        followers = step_dtmc(env.graph, env.rates, leader, followers, rng)
-    else:
-        followers = mean_field_step(env.graph, env.rates, leader, followers)
+    followers = follower_step(env, followers, leader, rng)
     dist = observe(env, followers)
     return followers, leader, reward(dist, env.target), mse(dist, env.target) < env.cfg.mu
 
@@ -108,14 +134,14 @@ def qlearning_write(values, s, a, r, s2, valid2, alpha, gamma, terminal=False) -
     values[s, a] += alpha * (target - values[s, a])
 
 
-def mean_field_matrix_step(g, rates, leader, density):
+def mean_field_matrix_step(g, beta, leader, density):
     """Propagate a density by explicitly summing per-edge routing matrices.
 
     The grid's edges come from vertex coordinates: (src, dst) is an edge
     when the two sit at Manhattan distance at most 1, self-edges included.
     Each edge e contributes u_e * B_e where B_e has a single 1 at
     (target(e), source(e)) and u_e is the edge's transition coefficient
-    under the given leader state (rate on outgoing edges at a repelling
+    under the given leader state (beta on outgoing edges at a repelling
     leader's vertex, the complementary mass on that vertex's self-edge,
     and an identity self-loop everywhere else).
     """
@@ -132,11 +158,11 @@ def mean_field_matrix_step(g, rates, leader, density):
     for src, dst in edges:
         if src == dst:
             if repelling and leader.vertex == src:
-                u = 1.0 - sum(rates.per_vertex[src])
+                u = 1.0 - sum(beta for s, d in edges if s == src != d)
             else:
                 u = 1.0
         elif repelling and leader.vertex == src:
-            u = rates.per_vertex[src][g.neighbors[src].index(dst)]
+            u = beta
         else:
             u = 0.0
         if u == 0.0:
@@ -179,10 +205,7 @@ class PolicyOracle:
             moves = {}
             for action in env.actions[ds.leader_vertex]:
                 leader = apply_leader_action(env.graph, LeaderState(ds.leader_vertex, 0), action)
-                if leader.flag == 1:
-                    next_density = mean_field_step(env.graph, env.rates, leader, density)
-                else:
-                    next_density = density.copy()
+                next_density = follower_step(env, density, leader, None)
                 next_idx = self._encode(next_density, leader.vertex)
                 moves[action] = (
                     next_idx,

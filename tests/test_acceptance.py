@@ -20,18 +20,12 @@ from swarmherd import (
     LearnerConfig,
     QTable,
     TrainConfig,
-    apply_leader_action,
     derive_seed,
     evaluate,
     largest_remainder_counts,
-    make_grid,
-    mean_field_step,
-    step_dtmc,
     train,
-    valid_actions,
 )
 from swarmherd.cli import main
-from swarmherd.dynamics import TransitionRates
 from swarmherd.environment import decode_state, encode_state, num_states
 from swarmherd.learner import greedy_action_index, max_action_value, td_update
 
@@ -110,16 +104,15 @@ def test_criterion_01_update_rule_oracles():
 
 
 def test_criterion_02_mean_field_matches_matrix_product():
-    g = make_grid(2, 2)
-    rates = TransitionRates.uniform(g, 0.1)
+    env = HerdingEnv(headline_env(backend="mean-field"))
     rng = np.random.default_rng(2024)
     started = time.perf_counter()
     worst = 0.0
     for i in range(10_000):
         density = rng.dirichlet(np.ones(4))
-        leader = LeaderState(i % 4, 1)
-        fast = mean_field_step(g, rates, leader, density)
-        slow = mean_field_matrix_step(g, rates, leader, density)
+        fast, _, _ = env.repel(density.tolist(), i % 4, None)
+        fast = np.array(fast)
+        slow = mean_field_matrix_step(env.graph, 0.1, LeaderState(i % 4, 1), density)
         worst = max(worst, float(np.max(np.abs(fast - slow))))
         assert abs(fast.sum() - 1.0) <= 1e-12
         assert fast.min() >= 0.0
@@ -129,24 +122,25 @@ def test_criterion_02_mean_field_matches_matrix_product():
 
 
 def test_criterion_03_dtmc_converges_to_mean_field():
-    g = make_grid(2, 2)
-    rates = TransitionRates.uniform(g, 0.1)
+    mean_field = HerdingEnv(headline_env(backend="mean-field"))
     initial = np.array(HEADLINE_INITIAL)
     started = time.perf_counter()
     gaps = {}
     for n in (100, 1_000, 10_000, 100_000):
+        env = HerdingEnv(headline_env(num_agents=n))
         per_seed = []
         for seed in range(20):
             rng = np.random.default_rng(derive_seed(7, n, seed))
-            counts = largest_remainder_counts(initial, n)
-            density = initial.copy()
+            counts = largest_remainder_counts(initial, n).tolist()
+            density = initial.tolist()
             leader = LeaderState(0, 0)
             for k in range(100):
-                acts = valid_actions(g, leader.vertex)
-                leader = apply_leader_action(g, leader, acts[k % len(acts)])
-                counts = step_dtmc(g, rates, leader, counts, rng)
-                density = mean_field_step(g, rates, leader, density)
-            per_seed.append(float(np.max(np.abs(counts / n - density))))
+                acts = env.action_ids[leader.vertex]
+                leader = env.moves[leader.vertex][acts[k % len(acts)]]
+                if leader.flag:
+                    counts, _, _ = env.repel(counts, leader.vertex, rng)
+                    density, _, _ = mean_field.repel(density, leader.vertex, None)
+            per_seed.append(float(np.max(np.abs(np.array(counts) / n - np.array(density)))))
         gaps[n] = float(np.mean(per_seed))
     elapsed = time.perf_counter() - started
     sizes = sorted(gaps)

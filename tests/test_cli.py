@@ -619,6 +619,19 @@ def test_sweep_resume_refuses_other_settings(tmp_path, sweep_config, capsys):
     assert "garbage" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["demo_aggregate.csv", "demo_runs.csv"])
+def test_sweep_resume_refuses_non_utf8_outputs(tmp_path, sweep_config, capsys, name):
+    out = tmp_path / "sweep_out"
+    sweep = ["sweep", "--config", sweep_config, "--out-dir", str(out)]
+    assert main(sweep) == 0
+    (out / name).write_bytes(b"\xff\xfe")
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(sweep + ["--resume"]) == 2
+    err = capsys.readouterr().err
+    assert "cannot resume" in err and name in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == files
+
+
 def test_sweep_unset_lists_take_env_and_learner_values(tmp_path):
     config = tmp_path / "point.ini"
     config.write_text(SMOKE_CONFIG.replace("algorithm = qlearning", "algorithm = sarsa") + """

@@ -24,10 +24,8 @@ from swarmherd import (
     QTable,
     decode_state,
     encode_state,
-    follower_transition_probs,
     num_states,
 )
-from swarmherd.dynamics import repel_density
 from swarmherd.environment import BACKENDS
 from swarmherd.errors import QTableFormatError
 from swarmherd.learner import _HEADER, FORMAT_VERSION, MAGIC, load_qtable, save_qtable
@@ -137,9 +135,9 @@ def test_state_index_matches_encode_of_discretize(cfg, data):
 @SETTINGS
 @given(cfg=env_configs(), data=st.data())
 def test_mean_field_repel_memo_matches_references(cfg, data):
-    """Every repel on one env, memo hit or miss, returns the floats of a fresh
-    repel_density and of the oracle reward, mse and state index, down to the
-    sign of zero. Each call starts from one of a few densities (so most calls
+    """Every repel on one env, memo hit or miss, returns the floats of the
+    oracle follower step, reward, mse and state index, down to the sign of
+    zero. Each call starts from one of a few densities (so most calls
     hit) or from the followers the previous call returned."""
     env = HerdingEnv(replace(cfg, backend="mean-field"))
     m = cfg.num_vertices
@@ -148,8 +146,7 @@ def test_mean_field_repel_memo_matches_references(cfg, data):
     followers = starts[0]
     for i, v in data.draw(st.lists(calls, min_size=1, max_size=24)):
         density = starts[i] if i < len(starts) else followers
-        shares = follower_transition_probs(env.graph, env.rates, LeaderState(v, 1), v).tolist()
-        expected = repel_density(list(density), v, env.graph.neighbors[v], shares)
+        expected = oracles.follower_step(env, density, LeaderState(v, 1), None).tolist()
         followers, sq, code = env.repel(density, v, None)
         assert type(followers) is tuple
         assert [x.hex() for x in followers] == [x.hex() for x in expected]
