@@ -59,7 +59,7 @@ sq, code = env.score(followers)
 print(f"\nstart: counts={followers} leader at v{leader.vertex}")
 for k in range(1, env_cfg.max_iterations + 1):
     idx = leader.vertex + m * code
-    action = greedy_action_index(result.table.values, idx, env.actions[leader.vertex])
+    action = greedy_action_index(result.table, idx, env.actions[leader.vertex])
     leader = env.moves[leader.vertex][action]
     if leader.flag:
         followers, sq, code = env.repel(followers, leader.vertex, rng)

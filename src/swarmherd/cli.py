@@ -41,6 +41,7 @@ from .harness import (
     SweepCell,
     TrainConfig,
     check_compatible,
+    check_evaluation_inputs,
     derive_seed,
     evaluate,
     sweep,
@@ -369,9 +370,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    table = load_qtable(args.table)
     cfg = load_run_config(args)
     env_cfg = build_env_config(cfg, num_agents=args.n_test)
+    # Refuse bad settings before reading what may be a large table.
+    check_evaluation_inputs(args.runs, args.eval_max_iters, args.epsilon_eval)
+    table = load_qtable(args.table)
     records, agg = evaluate(
         table,
         env_cfg,
@@ -461,7 +464,7 @@ def cmd_simulate(args) -> int:
             action = valid[int(rng.integers(len(valid)))]
         else:
             s = leader.vertex + m * code
-            action = select_action_index(table.values, s, valid, args.epsilon_eval, rng)
+            action = select_action_index(table, s, valid, args.epsilon_eval, rng)
         leader = env.moves[leader.vertex][action]
         if leader.flag:
             followers, sq, code = env.repel(followers, leader.vertex, rng)

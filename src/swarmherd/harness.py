@@ -8,7 +8,6 @@ results do not depend on scheduling or on how a sweep is split up.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -114,7 +113,7 @@ def train(cfg: TrainConfig) -> TrainResult:
     table = QTable.zeros(cfg.env.bins, cfg.env.rows, cfg.env.cols)
     env = HerdingEnv(cfg.env)
     rng = np.random.default_rng(cfg.seed)
-    values = table.values
+    get, zero = table.store.get, table.zero
     alpha = cfg.learner.alpha
     gamma = cfg.learner.gamma
     sarsa = cfg.learner.algorithm == "sarsa"
@@ -134,10 +133,10 @@ def train(cfg: TrainConfig) -> TrainResult:
             continue
         s = v + m * code
         if sarsa:
-            a = select_action_index(values, s, valid[v], epsilon, rng)
+            a = select_action_index(table, s, valid[v], epsilon, rng)
         for t in range(1, max_iters + 1):
             if not sarsa:
-                a = select_action_index(values, s, valid[v], epsilon, rng)
+                a = select_action_index(table, s, valid[v], epsilon, rng)
             v, flag = moves[v][a]
             # A move leaves the followers, and so a non-terminal score, as they were.
             terminal = False
@@ -150,11 +149,11 @@ def train(cfg: TrainConfig) -> TrainResult:
             if not terminal:
                 s2 = v + m * code
                 if sarsa:
-                    a2 = select_action_index(values, s2, valid[v], epsilon, rng)
-                    target += gamma * values.item(s2, a2)
+                    a2 = select_action_index(table, s2, valid[v], epsilon, rng)
+                    target += gamma * get(s2, zero)[a2]
                 else:
-                    target += gamma * max_action_value(values, s2, valid[v])
-            td_update(values, s, a, target, alpha)
+                    target += gamma * max_action_value(table, s2, valid[v])
+            td_update(table, s, a, target, alpha)
             if terminal:
                 break
             s = s2
@@ -208,7 +207,6 @@ def evaluate(
     check_evaluation_inputs(runs, eval_max_iters, epsilon_eval)
     check_compatible(table, env_cfg)
     env = HerdingEnv(env_cfg)
-    values = table.values
     valid, moves = env.action_ids, env.moves
     mu = env_cfg.mu
     m = env_cfg.num_vertices
@@ -223,7 +221,7 @@ def evaluate(
         converged = sq / m < mu
         if not converged:
             for t in range(1, eval_max_iters + 1):
-                a = select_action_index(values, v + m * code, valid[v], epsilon_eval, rng)
+                a = select_action_index(table, v + m * code, valid[v], epsilon_eval, rng)
                 v, flag = moves[v][a]
                 iterations = t
                 # Only a repel step moves the followers, so only it can end the run.
@@ -279,6 +277,9 @@ def sweep(
     tasks = [(group, runs, eval_max_iters, epsilon_eval, master_seed) for group in groups.values()]
     workers = min(jobs, len(tasks))
     if workers > 1:
+        # Imported here: only a parallel sweep pays for the process pool machinery.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             grouped = list(pool.map(_sweep_group, tasks))
     else:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from swarmherd import EnvConfig, HerdingEnv, LearnerConfig, TrainConfig
+import numpy as np
+
+from swarmherd import EnvConfig, HerdingEnv, LearnerConfig, QTable, TrainConfig
 
 # The headline experiment: herd 100 agents on a 2x2 grid from a corner-heavy
 # distribution to its mirror image.
@@ -70,3 +72,19 @@ def kernel_step(env: HerdingEnv, followers: list, leader, action, rng):
     else:
         sq, _ = env.score(followers)
     return followers, leader, -sq, sq / env.cfg.num_vertices < env.cfg.mu
+
+
+def put(q: QTable, s: int, a: int, value: float) -> None:
+    """Set Q(s, a), adding state s's row if it has none."""
+    q.store.setdefault(s, list(q.zero))[a] = value
+
+
+def value(q: QTable, s: int, a: int) -> float:
+    return q.store.get(s, q.zero)[a]
+
+
+def fill_random(q: QTable, seed: int) -> QTable:
+    """Give every state of q a row of standard normal values."""
+    dense = np.random.default_rng(seed).normal(size=(q.state_count, q.num_actions))
+    q.store.update(enumerate(dense.tolist()))
+    return q

@@ -29,7 +29,7 @@ from swarmherd.cli import main
 from swarmherd.environment import decode_state, encode_state, num_states
 from swarmherd.learner import greedy_action_index, max_action_value, td_update
 
-from helpers import HEADLINE_INITIAL, headline_env, smoke_env
+from helpers import HEADLINE_INITIAL, headline_env, smoke_env, value
 from oracles import PolicyOracle, mean_field_matrix_step
 
 PROTOCOL_EPISODES = 5000
@@ -92,13 +92,13 @@ def test_criterion_01_update_rule_oracles():
     s = encode_state(DiscretizedState((4, 1, 1, 4), 0), 10, 4)
     s2 = encode_state(DiscretizedState((3, 2, 1, 4), 1), 10, 4)
     cfg = LearnerConfig(alpha=0.3, gamma=0.9)
-    values = QTable.zeros(10, 2, 2).values
-    td_update(values, s, Action.STAY, -0.36 + cfg.gamma * values.item(s2, Action.LEFT), cfg.alpha)
-    sarsa_value = values.item(s, Action.STAY)
-    values = QTable.zeros(10, 2, 2).values
-    best = max_action_value(values, s2, (Action.LEFT, Action.STAY))
-    td_update(values, s, Action.STAY, -0.36 + cfg.gamma * best, cfg.alpha)
-    ql_value = values.item(s, Action.STAY)
+    q = QTable.zeros(10, 2, 2)
+    td_update(q, s, Action.STAY, -0.36 + cfg.gamma * value(q, s2, Action.LEFT), cfg.alpha)
+    sarsa_value = value(q, s, Action.STAY)
+    q = QTable.zeros(10, 2, 2)
+    best = max_action_value(q, s2, (Action.LEFT, Action.STAY))
+    td_update(q, s, Action.STAY, -0.36 + cfg.gamma * best, cfg.alpha)
+    ql_value = value(q, s, Action.STAY)
     ok = sarsa_value == -0.108 and ql_value == -0.108
     report(1, ok, f"single-step updates: sarsa={sarsa_value!r}, qlearning={ql_value!r}")
 
@@ -168,7 +168,7 @@ def test_criterion_04_small_instance_optimality():
         table = train(cfg).table
         for idx in reachable:
             ds = decode_state(idx, env_cfg.bins, env_cfg.num_vertices)
-            learned = greedy_action_index(table.values, idx, env.actions[ds.leader_vertex])
+            learned = greedy_action_index(table, idx, env.actions[ds.leader_vertex])
             if learned is not oracle.policy[idx]:
                 mismatches.append((algorithm, ds, oracle.policy[idx].name, learned.name))
     ok = not mismatches

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import swarmherd
@@ -58,3 +61,13 @@ def test_every_module_the_benchmark_tracer_wraps_imports():
     assert "swarmherd.dynamics" in modules
     for module in sorted(modules):
         importlib.import_module(module)
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # Only a parallel sweep needs concurrent.futures.process; every other
+    # command would pay for importing it.
+    src = str(Path(swarmherd.__file__).resolve().parents[1])
+    code = "import sys, swarmherd; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout == "False\n"

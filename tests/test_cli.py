@@ -9,6 +9,7 @@ from swarmherd.environment import trace_header, trace_row
 from swarmherd.errors import ConfigError
 
 import oracles
+from helpers import put
 
 SMOKE_CONFIG = """\
 [graph]
@@ -258,6 +259,24 @@ def test_evaluate_corrupt_table_is_compat_error(tmp_path, smoke_config, capsys):
     assert "magic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--runs", "0"],
+    ["--eval-max-iters", "0"],
+    ["--n-test", "0"],
+    ["--config", "{tmp}/missing.ini"],
+])
+def test_evaluate_checks_its_inputs_before_reading_the_table(tmp_path, smoke_config, flags,
+                                                             capsys):
+    # A corrupt table would exit 4 if it were read first.
+    bad = tmp_path / "bad.swhq"
+    bad.write_bytes(b"garbage table contents, long enough to cover the fixed header")
+    flags = [flag.format(tmp=tmp_path) for flag in flags]
+    config = [] if "--config" in flags else ["--config", smoke_config]
+    rc = main(["evaluate", str(bad), *config, *flags, "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_evaluate_dimension_mismatch_is_compat_error(tmp_path, smoke_config, trained_dir, capsys):
     other = tmp_path / "other.ini"
     other.write_text(SMOKE_CONFIG.replace("bins = 2", "bins = 3"))
@@ -446,9 +465,9 @@ def test_simulate_matches_step_by_step_reference(tmp_path, smoke_config, trained
     for idx in range(q.state_count):
         (f0, f1), v = decode_state(idx, 2, 2)
         if (f0 == 2) if v == 0 else (f1 >= 1):
-            q.values[idx, Action.STAY] = 1.0
+            put(q, idx, Action.STAY, 1.0)
         else:
-            q.values[idx, Action.RIGHT if v == 0 else Action.LEFT] = 1.0
+            put(q, idx, Action.RIGHT if v == 0 else Action.LEFT, 1.0)
     save_qtable(q, reading)
     capped = tmp_path / "capped.ini"
     capped.write_text(SMOKE_CONFIG.replace("max_iterations = 200", "max_iterations = 6"))
@@ -714,7 +733,7 @@ def test_sweep_resume_after_grid_edits_matches_fresh_run(tmp_path, monkeypatch):
 
 def test_sweep_jobs_start_at_most_one_worker_per_training_group(tmp_path, sweep_config, monkeypatch,
                                                                  capsys):
-    import swarmherd.harness
+    import concurrent.futures
 
     started = []
 
@@ -733,7 +752,8 @@ def test_sweep_jobs_start_at_most_one_worker_per_training_group(tmp_path, sweep_
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(swarmherd.harness, "ProcessPoolExecutor", InlinePool)
+    # sweep() imports the pool class when it needs one, so patch it at its source.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     serial = tmp_path / "serial"
     capped = tmp_path / "capped"
     assert main(["sweep", "--config", sweep_config, "--out-dir", str(serial)]) == 0

@@ -15,12 +15,12 @@ from swarmherd import (
     sweep,
     train,
 )
-from swarmherd.environment import BACKENDS, decode_state
+from swarmherd.environment import BACKENDS, NUM_ACTIONS, decode_state, num_states
 from swarmherd.errors import CompatibilityError, ConfigError
 from swarmherd.learner import greedy_action_index
 
 import oracles
-from helpers import headline_env, smoke_env, smoke_train
+from helpers import fill_random, headline_env, smoke_env, smoke_train
 from oracles import PolicyOracle
 
 
@@ -42,17 +42,17 @@ def test_smoke_training_is_fast_and_herds():
     env = HerdingEnv(cfg.env)
     _, code = env.score([10, 0])
     full_idx, away_idx = 0 + 2 * code, 1 + 2 * code
-    assert greedy_action_index(result.table.values, full_idx, env.actions[0]) is Action.STAY
-    assert greedy_action_index(result.table.values, away_idx, env.actions[1]) is Action.LEFT
+    assert greedy_action_index(result.table, full_idx, env.actions[0]) is Action.STAY
+    assert greedy_action_index(result.table, away_idx, env.actions[1]) is Action.LEFT
 
 
 def test_training_is_deterministic_per_seed():
     a = train(smoke_train(seed=123))
     b = train(smoke_train(seed=123))
     c = train(smoke_train(seed=124))
-    assert np.array_equal(a.table.values, b.table.values)
+    assert a.table.store == b.table.store
     assert a.episodes == b.episodes
-    assert not np.array_equal(a.table.values, c.table.values)
+    assert a.table.store != c.table.store
 
 
 def test_episode_stats_are_sane():
@@ -93,7 +93,7 @@ def test_train_single_steps_match_update_ops(backend, grid, algorithm):
     result = train(cfg)
 
     env = HerdingEnv(env_cfg)
-    values = QTable.zeros(env_cfg.bins, env_cfg.rows, env_cfg.cols).values
+    values = np.zeros((num_states(env_cfg.bins, env_cfg.num_vertices), NUM_ACTIONS))
     rng = np.random.default_rng(cfg.seed)
     alpha, gamma, epsilon = cfg.learner.alpha, cfg.learner.gamma, cfg.learner.epsilon
 
@@ -137,6 +137,7 @@ def test_train_single_steps_match_update_ops(backend, grid, algorithm):
 def _reference_evaluate(table, env_cfg, runs, eval_max_iters, epsilon_eval, seed):
     """evaluate() spelled out with the reference step, state and selection."""
     env = HerdingEnv(env_cfg)
+    values = table.values
     records = []
     for run in range(runs):
         run_seed = derive_seed(seed, run)
@@ -146,7 +147,7 @@ def _reference_evaluate(table, env_cfg, runs, eval_max_iters, epsilon_eval, seed
         converged = oracles.mse(oracles.observe(env, followers), env.target) < env_cfg.mu
         while not converged and iterations < eval_max_iters:
             s = oracles.state_index(env, followers, leader.vertex)
-            a = oracles.select(table.values, s, env.actions[leader.vertex], epsilon_eval, rng)
+            a = oracles.select(values, s, env.actions[leader.vertex], epsilon_eval, rng)
             followers, leader, _, converged = oracles.reference_step(
                 env, followers, leader, a, rng
             )
@@ -163,8 +164,7 @@ def test_evaluate_matches_step_by_step_reference(backend, epsilon):
     # a random one makes the greedy action depend on every state component.
     env_cfg = smoke_env(backend=backend)
     trained = train(smoke_train(episodes=60, env=env_cfg)).table
-    noisy = QTable.zeros(env_cfg.bins, 1, 2)
-    noisy.values[:] = np.random.default_rng(8).normal(size=noisy.values.shape)
+    noisy = fill_random(QTable.zeros(env_cfg.bins, 1, 2), 8)
     args = dict(runs=40, eval_max_iters=5, epsilon_eval=epsilon, seed=4)
     converged = set()
     for table in (trained, noisy):
@@ -301,5 +301,5 @@ def test_smoke_policy_matches_value_iteration_oracle():
     env = HerdingEnv(mean_field)
     for idx in sorted(reachable):
         ds = decode_state(idx, mean_field.bins, mean_field.num_vertices)
-        got = greedy_action_index(result.table.values, idx, env.actions[ds.leader_vertex])
+        got = greedy_action_index(result.table, idx, env.actions[ds.leader_vertex])
         assert got is oracle.policy[idx], f"state {ds}: {got} != {oracle.policy[idx]}"

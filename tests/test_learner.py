@@ -20,11 +20,14 @@ from swarmherd.errors import (
     QTableTruncatedError,
 )
 from swarmherd.learner import (
+    _row_bytes,
     greedy_action_index,
     max_action_value,
     select_action_index,
     td_update,
 )
+
+from helpers import fill_random, put, value
 
 S = encode_state(DiscretizedState((4, 1, 1, 4), 0), 10, 4)
 S2 = encode_state(DiscretizedState((3, 2, 1, 4), 1), 10, 4)
@@ -40,20 +43,31 @@ def fresh_table():
 
 # The TD targets as harness.train forms them for the step (S, A, r, S2).
 
-def sarsa_update(values, r, a2=A2, cfg=CFG):
-    td_update(values, S, A, r + cfg.gamma * values.item(S2, a2), cfg.alpha)
+def sarsa_update(q, r, a2=A2, cfg=CFG):
+    td_update(q, S, A, r + cfg.gamma * value(q, S2, a2), cfg.alpha)
 
 
-def qlearning_update(values, r, cfg=CFG):
-    td_update(values, S, A, r + cfg.gamma * max_action_value(values, S2, VALID2), cfg.alpha)
+def qlearning_update(q, r, cfg=CFG):
+    td_update(q, S, A, r + cfg.gamma * max_action_value(q, S2, VALID2), cfg.alpha)
 
 
 # --- lookup -------------------------------------------------------------------
 
 def test_fresh_table_reads_zero():
     q = fresh_table()
-    assert max_action_value(q.values, S, tuple(Action)) == 0.0
-    assert max_action_value(q.values, S2, VALID2) == 0.0
+    assert max_action_value(q, S, tuple(Action)) == 0.0
+    assert max_action_value(q, S2, VALID2) == 0.0
+    assert not q.store
+
+
+def test_dense_view_is_a_read_only_copy():
+    q = fresh_table()
+    put(q, S, A, -1.0)
+    dense = q.values
+    assert dense.shape == (q.state_count, q.num_actions)
+    assert dense[S, A] == -1.0 and np.count_nonzero(dense) == 1
+    with pytest.raises(ValueError, match="read-only"):
+        dense[S2, A] = 1.0
 
 
 # --- selection ----------------------------------------------------------------
@@ -61,17 +75,17 @@ def test_fresh_table_reads_zero():
 def test_greedy_picks_largest():
     q = fresh_table()
     valid = (Action.LEFT, Action.RIGHT, Action.STAY)
-    q.values[S, Action.LEFT] = 1.0
-    q.values[S, Action.RIGHT] = 2.0
-    q.values[S, Action.STAY] = 3.0
-    chosen = select_action_index(q.values, S, valid, 0.0, np.random.default_rng(0))
+    put(q, S, Action.LEFT, 1.0)
+    put(q, S, Action.RIGHT, 2.0)
+    put(q, S, Action.STAY, 3.0)
+    chosen = select_action_index(q, S, valid, 0.0, np.random.default_rng(0))
     assert chosen is Action.STAY  # the third valid action
 
 
 def test_greedy_tie_break_takes_first_valid():
     q = fresh_table()
     valid = (Action.LEFT, Action.RIGHT, Action.STAY)
-    chosen = select_action_index(q.values, S, valid, 0.0, np.random.default_rng(0))
+    chosen = select_action_index(q, S, valid, 0.0, np.random.default_rng(0))
     assert chosen is Action.LEFT
 
 
@@ -82,7 +96,7 @@ def test_epsilon_one_is_uniform():
     hits = {a: 0 for a in valid}
     draws = 100_000
     for _ in range(draws):
-        hits[select_action_index(q.values, S, valid, 1.0, rng)] += 1
+        hits[select_action_index(q, S, valid, 1.0, rng)] += 1
     for a in valid:
         assert abs(hits[a] / draws - 1 / 3) < 0.02
 
@@ -91,83 +105,83 @@ def test_greedy_invariant_under_constant_shift():
     q = fresh_table()
     valid = (Action.LEFT, Action.RIGHT, Action.STAY)
     rng = np.random.default_rng(2)
-    q.values[S, :] = rng.normal(size=q.num_actions)
-    before = greedy_action_index(q.values, S, valid)
-    q.values[S, :] += 17.5
-    assert greedy_action_index(q.values, S, valid) is before
+    q.store[S] = rng.normal(size=q.num_actions).tolist()
+    before = greedy_action_index(q, S, valid)
+    q.store[S] = [x + 17.5 for x in q.store[S]]
+    assert greedy_action_index(q, S, valid) is before
 
 
 # --- updates ------------------------------------------------------------------
 
 def test_sarsa_update_hand_value():
     q = fresh_table()
-    sarsa_update(q.values, -0.36)
-    assert q.values[S, A] == -0.108
+    sarsa_update(q, -0.36)
+    assert value(q, S, A) == -0.108
 
 
 def test_sarsa_zero_alpha_is_noop():
     q = fresh_table()
     cfg = LearnerConfig(alpha=0.0, gamma=0.9, epsilon=0.1, algorithm="sarsa")
-    sarsa_update(q.values, -0.36, cfg=cfg)
+    sarsa_update(q, -0.36, cfg=cfg)
     assert not q.values.any()
 
 
 def test_sarsa_fixed_point():
     q = fresh_table()
-    q.values[S, A] = -1.5
-    q.values[S2, A2] = -1.5
+    put(q, S, A, -1.5)
+    put(q, S2, A2, -1.5)
     cfg = LearnerConfig(alpha=0.3, gamma=1.0, epsilon=0.1, algorithm="sarsa")
-    sarsa_update(q.values, 0.0, cfg=cfg)
-    assert q.values[S, A] == -1.5
+    sarsa_update(q, 0.0, cfg=cfg)
+    assert value(q, S, A) == -1.5
 
 
 def test_updates_touch_exactly_one_entry():
     q = fresh_table()
-    sarsa_update(q.values, -0.36)
-    assert np.count_nonzero(q.values) == 1
+    sarsa_update(q, -0.36)
+    assert np.count_nonzero(q.values) == 1 and list(q.store) == [S]
     q = fresh_table()
-    qlearning_update(q.values, -0.36)
-    assert np.count_nonzero(q.values) == 1
+    qlearning_update(q, -0.36)
+    assert np.count_nonzero(q.values) == 1 and list(q.store) == [S]
 
 
 def test_qlearning_update_hand_values():
     q = fresh_table()
-    qlearning_update(q.values, -0.36)
-    assert q.values[S, A] == -0.108
+    qlearning_update(q, -0.36)
+    assert value(q, S, A) == -0.108
 
     q = fresh_table()
-    q.values[S2, Action.LEFT] = 5.0
-    q.values[S2, Action.STAY] = -1.0
+    put(q, S2, Action.LEFT, 5.0)
+    put(q, S2, Action.STAY, -1.0)
     cfg = LearnerConfig(alpha=1.0, gamma=1.0, epsilon=0.0, algorithm="qlearning")
-    qlearning_update(q.values, 0.0, cfg=cfg)
-    assert q.values[S, A] == 5.0
+    qlearning_update(q, 0.0, cfg=cfg)
+    assert value(q, S, A) == 5.0
 
 
 def test_qlearning_max_is_masked_to_valid_actions():
     q = fresh_table()
-    q.values[S2, Action.RIGHT] = 99.0  # invalid at the successor, must be ignored
-    q.values[S2, Action.LEFT] = -1.0
-    assert max_action_value(q.values, S2, VALID2) == 0.0
+    put(q, S2, Action.RIGHT, 99.0)  # invalid at the successor, must be ignored
+    put(q, S2, Action.LEFT, -1.0)
+    assert max_action_value(q, S2, VALID2) == 0.0
     cfg = LearnerConfig(alpha=1.0, gamma=1.0, epsilon=0.0, algorithm="qlearning")
-    qlearning_update(q.values, 0.0, cfg=cfg)
-    assert q.values[S, A] == 0.0  # max(-1, 0), not 99
+    qlearning_update(q, 0.0, cfg=cfg)
+    assert value(q, S, A) == 0.0  # max(-1, 0), not 99
 
 
 def test_qlearning_equals_sarsa_when_next_action_is_argmax():
     qa, qb = fresh_table(), fresh_table()
     for q in (qa, qb):
-        q.values[S2, Action.LEFT] = -0.4
-        q.values[S2, Action.STAY] = -0.2
-    sarsa_update(qa.values, -0.36, a2=Action.STAY)
-    qlearning_update(qb.values, -0.36)
-    assert qa.values[S, A] == qb.values[S, A]
+        put(q, S2, Action.LEFT, -0.4)
+        put(q, S2, Action.STAY, -0.2)
+    sarsa_update(qa, -0.36, a2=Action.STAY)
+    qlearning_update(qb, -0.36)
+    assert value(qa, S, A) == value(qb, S, A)
 
 
 def test_terminal_update_drops_bootstrap():
     q = fresh_table()
-    q.values[S2, A2] = -50.0
-    td_update(q.values, S, A, -0.36, CFG.alpha)  # a terminal step's target is r
-    assert q.values[S, A] == -0.108
+    put(q, S2, A2, -50.0)
+    td_update(q, S, A, -0.36, CFG.alpha)  # a terminal step's target is r
+    assert value(q, S, A) == -0.108
 
 
 def test_learner_config_validation():
@@ -206,12 +220,11 @@ def test_zeros_rejects_tables_above_the_size_limit(monkeypatch):
 # --- persistence -----------------------------------------------------------------
 
 def test_save_load_roundtrip(tmp_path):
-    q = QTable.zeros(bins=3, rows=2, cols=2)
-    rng = np.random.default_rng(3)
-    q.values[:] = rng.normal(size=q.values.shape)
+    q = fill_random(QTable.zeros(bins=3, rows=2, cols=2), 3)
     path = tmp_path / "table.swhq"
     save_qtable(q, path, {"training": {"algorithm": "sarsa", "seed": 9}})
     loaded = load_qtable(path)
+    assert loaded.store == q.store
     assert np.array_equal(loaded.values, q.values)
     assert (loaded.bins, loaded.num_vertices, loaded.num_actions) == (3, 4, 5)
     assert (loaded.rows, loaded.cols) == (2, 2)
@@ -223,7 +236,7 @@ def test_file_layout_is_state_major_action_minor(tmp_path):
     import struct
 
     q = QTable.zeros(bins=3, rows=2, cols=2)
-    q.values[7, 3] = -1.25
+    put(q, 7, 3, -1.25)
     path = tmp_path / "layout.swhq"
     save_qtable(q, path)
     data = path.read_bytes()
@@ -299,8 +312,7 @@ def _traced(fn, *args):
 
 @pytest.fixture(scope="module")
 def d20_table(tmp_path_factory):
-    q = QTable.zeros(bins=20, rows=2, cols=2)
-    q.values[:] = np.random.default_rng(4).normal(size=q.values.shape)
+    q = fill_random(QTable.zeros(bins=20, rows=2, cols=2), 4)
     path = tmp_path_factory.mktemp("d20") / "d20.swhq"
     save_qtable(q, path)
     return q, path
@@ -313,11 +325,33 @@ def test_save_writes_the_table_without_copying_it(d20_table, tmp_path):
     assert copy.read_bytes() == path.read_bytes()
 
 
-def test_load_allocates_the_table_once(d20_table):
-    q, path = d20_table
+def test_load_keeps_only_the_touched_rows(tmp_path):
+    # Training at 20 bins writes about 1% of the rows; loading costs those, not 31 MB.
+    q = QTable.zeros(bins=20, rows=2, cols=2)
+    rng = np.random.default_rng(6)
+    touched = rng.choice(q.state_count, size=q.state_count // 100, replace=False)
+    q.store.update(zip(touched.tolist(), rng.normal(size=(touched.size, 5)).tolist()))
+    path = tmp_path / "d20-trained.swhq"
+    save_qtable(q, path)
     loaded, peak = _traced(load_qtable, path)
-    assert peak <= q.values.nbytes + MIB
-    assert np.array_equal(loaded.values, q.values)
+    assert peak < 4 * MIB
+    assert loaded.store == q.store
+
+
+def test_load_refuses_rows_beyond_the_memory_limit(tmp_path, monkeypatch):
+    from swarmherd import learner
+
+    q = QTable.zeros(bins=3, rows=2, cols=2)
+    for s in range(0, q.state_count, 10):
+        put(q, s, 1, -0.5)
+    path = tmp_path / "table.swhq"
+    save_qtable(q, path)
+    limit = len(q.store) * _row_bytes(q.num_actions)
+    monkeypatch.setattr(learner, "MAX_TABLE_BYTES", limit)
+    assert load_qtable(path).store == q.store
+    monkeypatch.setattr(learner, "MAX_TABLE_BYTES", limit - 1)
+    with pytest.raises(QTableDimensionError, match="nonzero rows"):
+        load_qtable(path)
 
 
 @pytest.mark.parametrize(
@@ -346,8 +380,7 @@ def test_load_rejects_a_bad_payload_size_before_allocating(d20_table, tmp_path, 
 )
 def test_load_reads_a_pipe(tmp_path, cut, tail, error):
     # A pipe has no size to check up front: the payload is read, then measured.
-    q = QTable.zeros(bins=3, rows=2, cols=2)
-    q.values[:] = np.random.default_rng(5).normal(size=q.values.shape)
+    q = fill_random(QTable.zeros(bins=3, rows=2, cols=2), 5)
     path = tmp_path / "table.swhq"
     save_qtable(q, path)
     r, w = os.pipe()

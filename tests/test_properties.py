@@ -8,7 +8,9 @@ Examples are derandomized and bounded so the suite stays fast and repeatable.
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +33,7 @@ from swarmherd.errors import QTableFormatError
 from swarmherd.learner import _HEADER, FORMAT_VERSION, MAGIC, load_qtable, save_qtable
 
 import oracles
-from helpers import kernel_step
+from helpers import fill_random, kernel_step
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 FUZZ = settings(SETTINGS, max_examples=200)
@@ -167,6 +169,57 @@ def test_encode_decode_is_a_bijection(bins, m, data):
     assert decode_state(encode_state(state, bins, m), bins, m) == state
 
 
+@st.composite
+def touched_tables(draw) -> QTable:
+    """A table on a grid of up to 2x2 at up to 5 bins (a few save/load chunks),
+    with random rows, one row holding a -0.0 and one written back to all +0.0."""
+    q = QTable.zeros(draw(st.integers(1, 5)), draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    states = st.integers(0, q.state_count - 1)
+    for s in draw(st.lists(states, unique=True, max_size=12)):
+        q.store[s] = draw(st.lists(st.floats(allow_nan=False), min_size=q.num_actions,
+                                   max_size=q.num_actions))
+    q.store[draw(states)] = [0.0] * q.num_actions
+    signed = [0.0] * q.num_actions
+    signed[draw(st.integers(0, q.num_actions - 1))] = -0.0
+    q.store[draw(states)] = signed
+    return q
+
+
+def _pipe_load(data: bytes) -> QTable:
+    """load_qtable on a /dev/fd pipe fed by a thread: the payload may exceed the pipe buffer."""
+    r, w = os.pipe()
+
+    def feed():
+        with os.fdopen(w, "wb") as f:
+            f.write(data)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        return load_qtable(f"/dev/fd/{r}")
+    finally:
+        os.close(r)  # a reader that stopped early must not leave the writer blocked
+        writer.join()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@SETTINGS
+@given(q=touched_tables())
+def test_table_io_keeps_exactly_the_rows_with_a_nonzero_byte(table_file, q):
+    save_qtable(q, table_file)
+    data = table_file.read_bytes()
+    payload = np.frombuffer(data, dtype="<f8", offset=_HEADER.size)
+    payload = payload.reshape(q.state_count, q.num_actions)
+    loaded = load_qtable(table_file)
+    assert sorted(loaded.store) == np.flatnonzero(payload.view("<u8").any(axis=1)).tolist()
+    assert loaded.values.astype("<f8").tobytes() == payload.tobytes()
+    save_qtable(loaded, table_file)
+    assert table_file.read_bytes() == data
+    piped = _pipe_load(data)
+    assert piped.store.keys() == loaded.store.keys()
+    assert piped.values.tobytes() == loaded.values.tobytes()
+
+
 @pytest.fixture(scope="module")
 def table_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "table.swhq"
@@ -174,8 +227,7 @@ def table_file(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def valid_table(table_file) -> bytes:
-    q = QTable.zeros(2, 1, 2)
-    q.values[:] = np.random.default_rng(0).normal(size=q.values.shape)
+    q = fill_random(QTable.zeros(2, 1, 2), 0)
     save_qtable(q, table_file)
     return table_file.read_bytes()
 
