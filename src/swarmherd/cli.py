@@ -19,10 +19,11 @@ import contextlib
 import copy
 import itertools
 import json
+import math
 import os
 import sys
 import tempfile
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -48,6 +49,7 @@ from .harness import (
     train,
 )
 from .learner import (
+    ALGORITHMS,
     FORMAT_VERSION,
     LearnerConfig,
     load_qtable,
@@ -79,23 +81,19 @@ def _parse_list(item):
     return parse
 
 
+# One parser per config dataclass annotation, which is a string.
+_PARSERS = {"int": int, "float": float, "bool": _parse_bool, "str": str,
+            "tuple[float, ...]": _parse_list(float)}
+
+# The [sweep] lists that span the grid, in expansion order; n_test is innermost.
+GRID_KEYS = ("algorithms", "n_train", "betas", "mus", "bins", "n_test")
+
+# [env] and [learner] hold one key per field of EnvConfig and LearnerConfig;
+# the grid size sits in [graph].
 SCHEMA = {
     "graph": {"rows": int, "cols": int},
-    "env": {
-        "num_agents": int,
-        "beta": float,
-        "bins": int,
-        "mu": float,
-        "backend": str,
-        "max_iterations": int,
-        "initial_dist": _parse_list(float),
-        "target_dist": _parse_list(float),
-    },
-    # One parser per LearnerConfig field, by its (string) annotation.
-    "learner": {
-        f.name: {"float": float, "bool": _parse_bool, "str": str}[f.type]
-        for f in fields(LearnerConfig)
-    },
+    "env": {f.name: _PARSERS[f.type] for f in fields(EnvConfig) if f.name not in ("rows", "cols")},
+    "learner": {f.name: _PARSERS[f.type] for f in fields(LearnerConfig)},
     "train": {"episodes": int, "max_iters": int, "seed": int},
     "sweep": {
         "name": str,
@@ -147,6 +145,18 @@ DEFAULTS = {
 }
 
 
+def _set(cfg: dict, section: str, key: str, raw: str, unknown: str, name: str) -> None:
+    """Parse ``raw`` into ``cfg[section][key]``. ConfigError(``unknown``) for a
+    key the schema lacks, and one naming ``name`` for a bad value."""
+    parse = SCHEMA.get(section, {}).get(key)
+    if parse is None:
+        raise ConfigError(unknown)
+    try:
+        cfg[section][key] = parse(raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {name}: {exc}") from None
+
+
 def load_config(path: str | None) -> dict:
     """Parse the config file over the defaults, then apply SWHERD_* variables."""
     cfg = copy.deepcopy(DEFAULTS)
@@ -164,23 +174,14 @@ def load_config(path: str | None) -> dict:
             if section not in SCHEMA:
                 raise ConfigError(f"unknown section [{section}] in {path}")
             for key, raw in parser.items(section):
-                if key not in SCHEMA[section]:
-                    raise ConfigError(f"unknown key '{key}' in section [{section}]")
-                try:
-                    cfg[section][key] = SCHEMA[section][key](raw)
-                except ValueError as exc:
-                    raise ConfigError(f"bad value for {section}.{key}: {exc}") from None
+                _set(cfg, section, key, raw,
+                     f"unknown key '{key}' in section [{section}]", f"{section}.{key}")
     for name, raw in sorted(os.environ.items()):
         if not name.startswith(ENV_PREFIX):
             continue
         rest = name[len(ENV_PREFIX):].lower()
         section, _, key = rest.partition("_")
-        if section not in SCHEMA or key not in SCHEMA[section]:
-            raise ConfigError(f"unknown environment override {name}")
-        try:
-            cfg[section][key] = SCHEMA[section][key](raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {name}: {exc}") from None
+        _set(cfg, section, key, raw, f"unknown environment override {name}", name)
     return cfg
 
 
@@ -195,29 +196,14 @@ def load_run_config(args) -> dict:
 
 
 def build_env_config(cfg: dict, num_agents: int | None = None) -> EnvConfig:
-    env = cfg["env"]
-    return EnvConfig(
-        rows=cfg["graph"]["rows"],
-        cols=cfg["graph"]["cols"],
-        num_agents=env["num_agents"] if num_agents is None else num_agents,
-        beta=env["beta"],
-        bins=env["bins"],
-        mu=env["mu"],
-        initial_dist=env["initial_dist"],
-        target_dist=env["target_dist"],
-        max_iterations=env["max_iterations"],
-        backend=env["backend"],
-    )
-
-
-def build_learner_config(cfg: dict) -> LearnerConfig:
-    return LearnerConfig(**cfg["learner"])
+    env = cfg["env"] if num_agents is None else {**cfg["env"], "num_agents": num_agents}
+    return EnvConfig(**cfg["graph"], **env)
 
 
 def build_train_config(cfg: dict) -> TrainConfig:
     return TrainConfig(
         env=build_env_config(cfg),
-        learner=build_learner_config(cfg),
+        learner=LearnerConfig(**cfg["learner"]),
         episodes=cfg["train"]["episodes"],
         max_iters_per_episode=cfg["train"]["max_iters"],
         seed=cfg["train"]["seed"],
@@ -233,17 +219,17 @@ def expand_sweep(cfg: dict, master_seed: int) -> list[SweepCell]:
     from the cell index, so a cell's results depend on the cells before it.
     """
     sw = cfg["sweep"]
-    keys = ("algorithms", "n_train", "betas", "mus", "bins")
-    for key in (*keys, "n_test"):
+    for key in GRID_KEYS:
         values = sw[key] or ()
         if len(set(values)) < len(values):
             raise ConfigError(f"[sweep] {key} repeats a value: {', '.join(map(str, values))}")
     episodes = sw["episodes"] or cfg["train"]["episodes"]
     max_iters = sw["max_iters"] or cfg["train"]["max_iters"]
     base_env = build_env_config(cfg)
-    base_learner = build_learner_config(cfg)
+    base_learner = LearnerConfig(**cfg["learner"])
     point = (base_learner.algorithm, base_env.num_agents, base_env.beta, base_env.mu, base_env.bins)
-    axes = [(x,) if sw[key] is None else sw[key] for key, x in zip(keys, point)]
+    # zip stops at the end of point, before n_test.
+    axes = [(x,) if sw[key] is None else sw[key] for key, x in zip(GRID_KEYS, point)]
     cells = []
     for group, (algorithm, n_train, beta, mu_value, bins) in enumerate(itertools.product(*axes)):
         env = replace(base_env, num_agents=n_train, beta=beta, mu=mu_value, bins=bins)
@@ -320,29 +306,10 @@ def _aggregate_line(key: str, agg) -> str:
 
 
 def _training_meta(tc: TrainConfig) -> dict:
-    return {
-        "training": {
-            "algorithm": tc.learner.algorithm,
-            "alpha": tc.learner.alpha,
-            "gamma": tc.learner.gamma,
-            "epsilon": tc.learner.epsilon,
-            "epsilon_decay": tc.learner.epsilon_decay,
-            "epsilon_final": tc.learner.epsilon_final,
-            "beta": tc.env.beta,
-            "mu": tc.env.mu,
-            "num_agents": tc.env.num_agents,
-            "bins": tc.env.bins,
-            "rows": tc.env.rows,
-            "cols": tc.env.cols,
-            "backend": tc.env.backend,
-            "initial_dist": list(tc.env.initial_dist),
-            "target_dist": list(tc.env.target_dist),
-            "episodes": tc.episodes,
-            "max_iters_per_episode": tc.max_iters_per_episode,
-            "seed": tc.seed,
-        },
-        "created_at": datetime.now(timezone.utc).isoformat(),
-    }
+    """Every field of ``tc``, its learner's and its env's inlined, in that order."""
+    training = asdict(tc)
+    training = {**training.pop("learner"), **training.pop("env"), **training}
+    return {"training": training, "created_at": datetime.now(timezone.utc).isoformat()}
 
 
 # ---------------------------------------------------------------------------
@@ -383,17 +350,16 @@ def cmd_evaluate(args) -> int:
         epsilon_eval=args.epsilon_eval,
         seed=cfg["train"]["seed"],
     )
-    # A sidecar that is missing, unreadable or not a JSON object with a
-    # "training" object leaves the training fields unknown.
+    # The training fields stay unknown unless the sidecar is a JSON object
+    # whose "training" object names a known algorithm and a positive count.
     try:
-        meta = json.loads(sidecar_path(args.table).read_text())
-    except (OSError, ValueError):
+        meta = json.loads(sidecar_path(args.table).read_text())["training"]
+    except (OSError, ValueError, KeyError, TypeError):
         meta = {}
-    meta = meta.get("training") if isinstance(meta, dict) else None
-    if not isinstance(meta, dict):
-        meta = {}
-    algorithm = meta.get("algorithm", "unknown")
-    n_train = meta.get("num_agents", 0)
+    meta = meta if isinstance(meta, dict) else {}
+    algorithm = meta.get("algorithm") if meta.get("algorithm") in ALGORITHMS else "unknown"
+    n_train = meta.get("num_agents")
+    n_train = n_train if type(n_train) is int and n_train >= 1 else 0  # bool is not int here
     out = Path(args.out_dir)
     runs_lines = [RUNS_HEADER] + [_run_line(0, r) for r in records]
     _write_atomic(out / "eval_runs.csv", "\n".join(runs_lines) + "\n")
@@ -488,8 +454,7 @@ def _sweep_settings(cfg: dict) -> dict:
         f"{section}.{key}": value
         for section, values in cfg.items()
         for key, value in values.items()
-        if section != "sweep"
-        or key not in ("algorithms", "n_train", "n_test", "betas", "mus", "bins", "name")
+        if section != "sweep" or key not in (*GRID_KEYS, "name")
     }))
 
 
@@ -574,19 +539,28 @@ def cmd_sweep(args) -> int:
 
 def cmd_inspect(args) -> int:
     table = load_qtable(args.table)
-    values = table.values
+    entries = table.state_count * table.num_actions
+    # The stored rows, plus a zero row for the states without one.
+    missing = [table.zero] * (len(table.store) < table.state_count)
+    values = np.array([*table.store.values(), *missing])
     nonzero = int(np.count_nonzero(values))
+    try:
+        # Exactly rounded, so it does not depend on where the zeros sit.
+        total = math.fsum(itertools.chain.from_iterable(table.store.values()))
+    except (ValueError, OverflowError):
+        # Infinities of both signs, or an overflowing sum: nan or ±inf, as in numpy.
+        total = values.sum()
     print(f"magic: SWHQ  version: {FORMAT_VERSION}")
     print(
         f"grid: {table.rows}x{table.cols}  vertices: {table.num_vertices}  "
         f"bins: {table.bins}  actions: {table.num_actions}"
     )
-    print(f"states: {table.state_count}  entries: {values.size}")
+    print(f"states: {table.state_count}  entries: {entries}")
     print(
         f"min: {format_float(values.min())}  max: {format_float(values.max())}  "
-        f"mean: {format_float(values.mean())}"
+        f"mean: {format_float(total / entries)}"
     )
-    print(f"nonzero entries: {nonzero} ({nonzero / values.size:.1%})")
+    print(f"nonzero entries: {nonzero} ({nonzero / entries:.1%})")
     meta_file = sidecar_path(args.table)
     if meta_file.exists():
         print(f"sidecar: {meta_file}")

@@ -94,8 +94,8 @@ class QTable:
     def values(self) -> np.ndarray:
         """A read-only dense (state_count, num_actions) float64 copy, built on each read.
 
-        For whole-table statistics: ``cmd_inspect`` and perfbench/tracer.py
-        read it. Training, evaluation and table I/O never do.
+        For whole-table statistics in perfbench/tracer.py and the tests.
+        Training, evaluation, table I/O and ``inspect`` never read it.
         """
         dense = np.zeros((self.state_count, self.num_actions))
         if self.store:

@@ -63,6 +63,38 @@ def test_every_module_the_benchmark_tracer_wraps_imports():
         importlib.import_module(module)
 
 
+def test_every_swarmherd_name_the_benchmark_child_uses_resolves():
+    # perfbench/child.py builds each workload's env and table through these
+    # names; a rename would break the benchmark and nothing else.
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "child.py").read_text()
+    tree = ast.parse(source)
+    modules = {"swarmherd": "swarmherd"}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("swarmherd"):
+            used.update((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update((a.asname, a.name) for a in node.names if a.asname
+                           and a.name.startswith("swarmherd."))
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.insert(0, node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in modules:
+            used.add((modules[node.id], ".".join(chain)))
+    assert {
+        ("swarmherd.cli", "build_env_config"),
+        ("swarmherd.cli", "load_config"),
+        ("swarmherd", "HerdingEnv"),
+        ("swarmherd", "QTable.zeros"),
+    } <= used
+    for module, name in sorted(used):
+        owner = importlib.import_module(module)
+        for part in name.split("."):
+            owner = getattr(owner, part)
+
+
 def test_import_leaves_the_process_pool_unloaded():
     # Only a parallel sweep needs concurrent.futures.process; every other
     # command would pay for importing it.

@@ -1,11 +1,31 @@
 import json
+import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from swarmherd import Action, HerdingEnv, QTable, decode_state, load_qtable, save_qtable
-from swarmherd.cli import build_env_config, expand_sweep, load_config, main, render_frame
-from swarmherd.environment import trace_header, trace_row
+from swarmherd import (
+    Action,
+    EnvConfig,
+    HerdingEnv,
+    LearnerConfig,
+    QTable,
+    decode_state,
+    load_qtable,
+    save_qtable,
+)
+from swarmherd.cli import (
+    DEFAULTS,
+    SCHEMA,
+    build_env_config,
+    build_train_config,
+    expand_sweep,
+    load_config,
+    main,
+    render_frame,
+)
+from swarmherd.environment import format_float, trace_header, trace_row
 from swarmherd.errors import ConfigError
 
 import oracles
@@ -62,6 +82,15 @@ def test_defaults_replicate_headline_experiment():
     assert cfg["learner"]["gamma"] == 0.9
     assert cfg["train"]["episodes"] == 5000
     assert cfg["train"]["max_iters"] == 5000
+
+
+def test_env_and_learner_keys_are_the_config_fields():
+    env_fields = {f.name for f in fields(EnvConfig)}
+    assert set(SCHEMA["graph"]) == {"rows", "cols"}
+    assert set(SCHEMA["env"]) == env_fields - {"rows", "cols"}
+    assert set(SCHEMA["learner"]) == {f.name for f in fields(LearnerConfig)}
+    for section, keys in SCHEMA.items():
+        assert set(DEFAULTS[section]) == set(keys), section
 
 
 def test_unknown_key_is_rejected_by_name(tmp_path, capsys):
@@ -141,6 +170,18 @@ def test_train_with_builtin_defaults(tmp_path):
     assert meta["alpha"] == 0.3 and meta["gamma"] == 0.9
     assert meta["episodes"] == 5000 and meta["max_iters_per_episode"] == 5000
     assert (out / "qtable.swhq").stat().st_size == 28 + 11**4 * 4 * 5 * 8
+
+
+def test_sidecar_records_every_config_field(smoke_config, trained_dir):
+    training = json.loads((trained_dir / "qtable.swhq.meta.json").read_text())["training"]
+    tc = build_train_config(load_config(smoke_config))
+    expected = {"episodes": 50, "max_iters_per_episode": 200, "seed": 5}
+    for config in (tc.env, tc.learner):
+        for f in fields(config):
+            value = getattr(config, f.name)
+            expected[f.name] = list(value) if isinstance(value, tuple) else value
+    assert training == expected
+    assert training["max_iterations"] == 200
 
 
 def test_train_writes_artifacts(trained_dir):
@@ -237,6 +278,21 @@ def test_evaluate_ignores_a_sidecar_that_is_not_an_object(tmp_path, smoke_config
     assert main(["evaluate", str(trained_dir / "qtable.swhq"), "--config", smoke_config,
                  "--runs", "5", "--out-dir", str(out)]) == 0
     assert (out / "eval_aggregate.csv").read_text().splitlines()[1].startswith("unknown,0,10,")
+
+
+def test_evaluate_ignores_sidecar_fields_it_cannot_write(tmp_path, smoke_config, trained_dir):
+    sidecar = trained_dir / "qtable.swhq.meta.json"
+    meta = json.loads(sidecar.read_text())
+    bad = [("sarsa,9\nevil", [1, 2]), ("dqn", True), (None, 0), ("QLearning", 2.0), ("", -3)]
+    for algorithm, num_agents in bad:
+        meta["training"].update(algorithm=algorithm, num_agents=num_agents)
+        sidecar.write_text(json.dumps(meta))
+        out = tmp_path / "eval"
+        assert main(["evaluate", str(trained_dir / "qtable.swhq"), "--config", smoke_config,
+                     "--runs", "5", "--out-dir", str(out)]) == 0
+        lines = (out / "eval_aggregate.csv").read_text().splitlines()
+        assert len(lines) == 2
+        assert lines[1].startswith("unknown,0,10,")
 
 
 def test_evaluate_n_test_override(tmp_path, smoke_config, trained_dir):
@@ -787,6 +843,40 @@ def test_inspect_prints_header_and_stats(trained_dir, capsys):
     assert "grid: 1x2" in out
     assert "bins: 2" in out
     assert "min:" in out and "max:" in out
+
+
+def _inspect_stats(path, capsys) -> list[str]:
+    assert main(["inspect", str(path)]) == 0
+    return capsys.readouterr().out.splitlines()[2:5]
+
+
+def test_inspect_stats_match_the_dense_table(trained_dir, capsys):
+    path = trained_dir / "qtable.swhq"
+    dense = load_qtable(path).values
+    nonzero = np.count_nonzero(dense)
+    assert _inspect_stats(path, capsys) == [
+        f"states: {dense.shape[0]}  entries: {dense.size}",
+        f"min: {format_float(dense.min())}  max: {format_float(dense.max())}  "
+        f"mean: {format_float(dense.mean())}",
+        f"nonzero entries: {nonzero} ({nonzero / dense.size:.1%})",
+    ]
+
+
+@pytest.mark.parametrize("row, expected", [
+    # A NaN that is not the first value, then infinities of both signs, then
+    # finite values whose sum overflows; numpy's sum warns on the last two.
+    ([1.0, math.nan, 0.0, 0.0, 0.0], "min: nan  max: nan  mean: nan"),
+    ([math.inf, 0.0, -math.inf, 0.0, 0.0], "min: -inf  max: inf  mean: nan"),
+    ([1e308, 1e308, 0.0, 0.0, 0.0], "min: 0.0  max: 1e+308  mean: inf"),
+])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_inspect_prints_non_finite_stats(tmp_path, capsys, row, expected):
+    q = QTable.zeros(2, 1, 2)
+    q.store[3] = row
+    save_qtable(q, tmp_path / "q.swhq")
+    assert _inspect_stats(tmp_path / "q.swhq", capsys) == [
+        "states: 18  entries: 90", expected, "nonzero entries: 2 (2.2%)",
+    ]
 
 
 def test_inspect_missing_file_is_io_error(tmp_path):
