@@ -186,10 +186,13 @@ def load_config(path: str | None) -> dict:
 
 
 def load_run_config(args) -> dict:
-    """:func:`load_config`, then the ``--seed`` and ``--backend`` flags, which win."""
+    """:func:`load_config`, then the ``--seed`` and ``--backend`` flags, which win.
+    ConfigError for a negative seed, which numpy's seeding refuses."""
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg["train"]["seed"] = args.seed
+    if cfg["train"]["seed"] < 0:
+        raise ConfigError(f"seed={cfg['train']['seed']} invalid: need a non-negative integer")
     if args.backend is not None:
         cfg["env"]["backend"] = args.backend
     return cfg
@@ -418,7 +421,7 @@ def cmd_simulate(args) -> int:
     followers = followers.tolist()
     m = env_cfg.num_vertices
     # The step of evaluate(): only a repel step moves the followers and rescores them.
-    sq, code = env.score(followers)
+    sq, code = env.reset_score
     terminal = sq / m < env_cfg.mu
     lines = [trace_header(env_cfg), trace_row(0, leader, None, followers, -sq, sq / m, terminal)]
     frames = [render_frame(env, 0, None, followers, leader, sq / m)] if args.frames else []

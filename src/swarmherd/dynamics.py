@@ -25,18 +25,23 @@ class LeaderState(NamedTuple):
 
 
 def repel_counts(
-    counts: list[int], v: int, nbrs: tuple[int, ...], probs: np.ndarray, rng: np.random.Generator
+    counts: Sequence[int],
+    v: int,
+    nbrs: tuple[int, ...],
+    probs: np.ndarray,
+    rng: np.random.Generator,
 ) -> list[int]:
     """Counts after a leader repels at v: counts[v] split by one multinomial draw.
 
     ``probs`` holds the shares of the sorted neighbors ``nbrs`` followed by
     the stay share, as a float64 array. The draw is taken even when
     counts[v] == 0, so stream consumption depends only on the leader trajectory.
-    Works on a plain list, because the training loop steps on M <= 9 vertices
-    where numpy's per-call overhead outweighs the arithmetic.
+    Plain ints in (a list or tuple) and a new list out, because the training
+    loop steps on M <= 9 vertices where numpy's per-call overhead outweighs
+    the arithmetic.
     """
     draw = rng.multinomial(counts[v], probs).tolist()
-    out = counts.copy()
+    out = list(counts)
     out[v] = draw[-1]
     for t, k in zip(nbrs, draw):
         out[t] += k

@@ -26,9 +26,10 @@ from .graph import Graph, make_grid
 BACKENDS = ("dtmc", "mean-field")
 # How far from 1 a configured distribution's sum may be.
 SIMPLEX_ATOL = 1e-9
-# Most mean-field repel results one HerdingEnv keeps. Training the 2x2 grid
-# at 20 bins stores 16,665 (about 6.3 MB); past the limit a result is
-# computed and not stored.
+# Most repel results one HerdingEnv keeps, on either backend. Headline dtmc
+# training stores about 12,800 count vectors (2.7 MiB, about 220 bytes each);
+# mean-field training of the 2x2 grid at 20 bins stores 16,665 densities
+# (about 6.3 MB). Past the limit a result is computed and not stored.
 MAX_MEMO_ENTRIES = 2**15
 
 
@@ -226,7 +227,7 @@ class HerdingEnv:
     (``action_ids[v]`` lists the valid a as ints); if its flag is up,
     :meth:`repel` moves the followers and rates the result in one call. A
     move leaves the followers unchanged, so only a repel step needs a new
-    score; :meth:`score` rates the reset state.
+    score; :attr:`reset_score` is the score of the reset state.
     """
 
     def __init__(self, cfg: EnvConfig):
@@ -255,8 +256,11 @@ class HerdingEnv:
         self._target = self.target.tolist()
         self._radix_weights = tuple((cfg.bins + 1) ** v for v in range(m))
         self._m = m
-        # Mean-field repel results keyed (vertex, *density); see repel().
-        self._memo: dict[tuple, tuple[tuple[float, ...], float, int]] = {}
+        # Repel results keyed by the counts reached or by (vertex, *density); see repel().
+        self._memo: dict[tuple, tuple[tuple, float, int]] = {}
+        # reset() always starts from the same followers, so they are scored once.
+        start = self._initial_counts if self._counts_backend else self.initial
+        self.reset_score = self.score(start.tolist())
 
     def reset(self, rng: np.random.Generator) -> tuple[np.ndarray, LeaderState]:
         """Fresh episode: followers at the initial distribution, leader uniform, flag down.
@@ -271,32 +275,32 @@ class HerdingEnv:
 
     def repel(
         self, followers: Sequence, vertex: int, rng: np.random.Generator
-    ) -> tuple[Sequence, float, int]:
+    ) -> tuple[tuple, float, int]:
         """``(followers', sq, code)`` after the leader repels at ``vertex``:
-        the moved followers and their :meth:`score`.
+        the moved followers, as an immutable tuple, and their :meth:`score`.
 
-        Counts take one multinomial draw from ``rng`` on every call. A density
-        step draws nothing and is a pure function of (vertex, density), so its
-        result is memoized on the env, up to :data:`MAX_MEMO_ENTRIES` entries;
-        a hit returns the floats of the first computation, with the density as
-        an immutable tuple.
+        Both backends memoize on the env, up to :data:`MAX_MEMO_ENTRIES`
+        entries, and a hit returns the objects of the first computation.
+        Counts take one multinomial draw from ``rng`` on every call, hit or
+        miss; the score is a pure function of the counts drawn, so those are
+        the key. A density step draws nothing and is a pure function of
+        (vertex, density), so that is the key and a hit skips the step too.
         """
         if self._counts_backend:
-            out = repel_counts(
+            out = tuple(repel_counts(
                 followers, vertex, self.graph.neighbors[vertex], self._repel_shares[vertex], rng
-            )
-            sq, code = self.score(out)
-            return out, sq, code
+            ))
+            return self._memo.get(out) or self._remember(out, out)
         key = (vertex, *followers)
-        hit = self._memo.get(key)
-        if hit is None:
-            out = repel_density(
-                followers, vertex, self.graph.neighbors[vertex], self._repel_shares[vertex]
-            )
-            sq, code = self.score(out)
-            hit = (tuple(out), sq, code)
-            if len(self._memo) < MAX_MEMO_ENTRIES:
-                self._memo[key] = hit
+        return self._memo.get(key) or self._remember(key, tuple(repel_density(
+            followers, vertex, self.graph.neighbors[vertex], self._repel_shares[vertex]
+        )))
+
+    def _remember(self, key: tuple, out: tuple) -> tuple[tuple, float, int]:
+        """``(out, sq, code)``, stored under ``key`` while the memo has room."""
+        hit = (out, *self.score(out))
+        if len(self._memo) < MAX_MEMO_ENTRIES:
+            self._memo[key] = hit
         return hit
 
     def score(self, followers: Sequence) -> tuple[float, int]:

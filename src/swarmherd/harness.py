@@ -18,7 +18,7 @@ from .errors import CompatibilityError, ConfigError
 from .learner import (
     LearnerConfig,
     QTable,
-    max_action_value,
+    greedy_action_index,
     select_action_index,
     td_update,
 )
@@ -105,9 +105,11 @@ def train(cfg: TrainConfig) -> TrainResult:
     Deterministic for a fixed seed.
 
     Each step runs the :class:`HerdingEnv` kernels on plain values: followers
-    stay a list (a tuple after a mean-field repel), and only a repel step
-    moves and rescores them, so a move step keeps the previous reward,
-    terminal test and follower code.
+    start as a list and become the env's memoized tuple after a repel, and
+    only a repel step moves and rescores them, so a move step keeps the
+    previous reward, terminal test and follower code. Q-Learning scans row s'
+    once: the argmax behind its target is the next step's greedy pick, unless
+    the TD write changed that row (s' == s).
     """
     # The table first: its size check refuses an oversized grid before any work.
     table = QTable.zeros(cfg.env.bins, cfg.env.rows, cfg.env.cols)
@@ -126,17 +128,18 @@ def train(cfg: TrainConfig) -> TrainResult:
         epsilon = cfg.learner.episode_epsilon(episode, cfg.episodes)
         followers, leader = env.reset(rng)
         followers, v = followers.tolist(), leader.vertex
-        sq, code = env.score(followers)
+        sq, code = env.reset_score
         total = 0.0
         if sq / m < mu:
             stats.append(EpisodeStats(episode, 0, 0.0))
             continue
         s = v + m * code
+        best = None
         if sarsa:
             a = select_action_index(table, s, valid[v], epsilon, rng)
         for t in range(1, max_iters + 1):
             if not sarsa:
-                a = select_action_index(table, s, valid[v], epsilon, rng)
+                a = select_action_index(table, s, valid[v], epsilon, rng, best)
             v, flag = moves[v][a]
             # A move leaves the followers, and so a non-terminal score, as they were.
             terminal = False
@@ -152,10 +155,13 @@ def train(cfg: TrainConfig) -> TrainResult:
                     a2 = select_action_index(table, s2, valid[v], epsilon, rng)
                     target += gamma * get(s2, zero)[a2]
                 else:
-                    target += gamma * max_action_value(table, s2, valid[v])
+                    best = greedy_action_index(table, s2, valid[v])
+                    target += gamma * get(s2, zero)[best]
             td_update(table, s, a, target, alpha)
             if terminal:
                 break
+            if s2 == s:
+                best = None
             s = s2
             if sarsa:
                 a = a2
@@ -216,7 +222,7 @@ def evaluate(
         rng = np.random.default_rng(run_seed)
         followers, leader = env.reset(rng)
         followers, v = followers.tolist(), leader.vertex
-        sq, code = env.score(followers)
+        sq, code = env.reset_score
         iterations = 0
         converged = sq / m < mu
         if not converged:

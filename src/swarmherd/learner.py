@@ -178,15 +178,18 @@ def select_action_index(
     valid: Sequence[Action],
     epsilon: float,
     rng: np.random.Generator,
+    greedy: int | None = None,
 ) -> Action:
     """ε-greedy selection over the valid actions at a state.
 
     Draws X uniform on [0, 1) first: above epsilon it exploits (greedy with
     the canonical tie-break), otherwise it draws a uniform explore index, so
-    every caller consumes the random stream in the same order.
+    every caller consumes the random stream in the same order. A caller that
+    already holds this row's :func:`greedy_action_index` passes it as
+    ``greedy`` to skip the rescan.
     """
     if rng.random() > epsilon:
-        return greedy_action_index(q, state_index, valid)
+        return greedy_action_index(q, state_index, valid) if greedy is None else greedy
     return valid[int(rng.integers(len(valid)))]
 
 

@@ -156,6 +156,25 @@ def test_flag_beats_env_var(tmp_path, smoke_config, monkeypatch):
     assert meta["training"]["seed"] == 123
 
 
+@pytest.mark.parametrize("source", ["flag", "env", "file"])
+@pytest.mark.parametrize("command", [
+    ["train"], ["evaluate", "absent.swhq"], ["simulate", "--policy", "random"], ["sweep"],
+])
+def test_negative_seed_is_a_config_error(tmp_path, monkeypatch, capsys, command, source):
+    seed = {"flag": "-1", "env": "-2", "file": "-3"}[source]
+    config = tmp_path / "negative.ini"
+    config.write_text(SMOKE_CONFIG.replace("seed = 5", f"seed = {seed}") if source == "file"
+                      else SMOKE_CONFIG)
+    flags = ["--seed", seed] if source == "flag" else []
+    if source == "env":
+        monkeypatch.setenv("SWHERD_TRAIN_SEED", seed)
+    out = tmp_path / "out"
+    # The seed is refused before anything is read or written: an absent table would exit 3.
+    assert main(command + ["--config", str(config), "--out-dir", str(out)] + flags) == 2
+    assert f"seed={seed} invalid" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- train ------------------------------------------------------------------------
 
 def test_train_with_builtin_defaults(tmp_path):

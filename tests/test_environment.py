@@ -211,6 +211,15 @@ def test_reset_mean_field_returns_initial_exactly():
     assert followers.tolist() == list(HEADLINE_INITIAL)
 
 
+@pytest.mark.parametrize("backend", ["dtmc", "mean-field"])
+def test_reset_score_is_the_oracle_score_of_the_reset_state(backend):
+    env = HerdingEnv(headline_env(backend=backend))
+    followers, leader = env.reset(np.random.default_rng(6))
+    sq, code = env.reset_score
+    assert (-sq).hex() == oracles.reward(oracles.observe(env, followers), env.target).hex()
+    assert leader.vertex + 4 * code == oracles.state_index(env, followers, leader.vertex)
+
+
 # --- one iteration on the loop kernels ------------------------------------------
 
 def test_env_step_mean_field_stay_example():
@@ -308,21 +317,25 @@ def test_mean_field_replay_is_bitwise_identical():
 
 def _repel_walk(env, rounds=2):
     """Repel around the 2x2 grid from the headline start, ``rounds`` times over,
-    as (followers, sq, code) with every float spelled by ``float.hex``."""
+    on a fixed seed, as (followers, sq, code) with every value spelled by
+    ``float.hex``."""
+    rng = np.random.default_rng(11)
+    start = env.reset(rng)[0].tolist()
     out = []
     for _ in range(rounds):
-        followers = list(HEADLINE_INITIAL)
+        followers = start
         for k in range(12):
-            followers, sq, code = env.repel(followers, (0, 1, 3, 2)[k % 4], None)
-            out.append(([x.hex() for x in followers], sq.hex(), code))
+            followers, sq, code = env.repel(followers, (0, 1, 3, 2)[k % 4], rng)
+            out.append(([float(x).hex() for x in followers], sq.hex(), code))
     return out
 
 
-def test_mean_field_repel_memo_stops_growing_at_its_bound(monkeypatch):
-    reference = _repel_walk(HerdingEnv(headline_env(backend="mean-field")))
+@pytest.mark.parametrize("backend", ["dtmc", "mean-field"])
+def test_repel_memo_stops_growing_at_its_bound(monkeypatch, backend):
+    reference = _repel_walk(HerdingEnv(headline_env(backend=backend)))
     monkeypatch.setattr(environment, "MAX_MEMO_ENTRIES", 3)
-    env = HerdingEnv(headline_env(backend="mean-field"))
-    # The second round hits the three stored entries and recomputes the rest.
+    env = HerdingEnv(headline_env(backend=backend))
+    # The second round hits the stored entries and recomputes the rest.
     assert _repel_walk(env) == reference
     assert len(env._memo) == 3
 

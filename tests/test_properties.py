@@ -1,6 +1,6 @@
 """Property-based checks: mass conservation, the loop kernels against the
 reference step and state encoder of ``oracles`` over random small grids, the
-mean-field repel memo against fresh references, the encode/decode bijection,
+repel memo of either backend against fresh references, the encode/decode bijection,
 and fuzzing of the table reader.
 
 Examples are derandomized and bounded so the suite stays fast and repeatable.
@@ -26,6 +26,7 @@ from swarmherd import (
     QTable,
     decode_state,
     encode_state,
+    largest_remainder_counts,
     num_states,
 )
 from swarmherd.environment import BACKENDS
@@ -134,27 +135,37 @@ def test_state_index_matches_encode_of_discretize(cfg, data):
     assert vertex + cfg.num_vertices * code == oracles.state_index(env, followers, vertex)
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
 @SETTINGS
-@given(cfg=env_configs(), data=st.data())
-def test_mean_field_repel_memo_matches_references(cfg, data):
-    """Every repel on one env, memo hit or miss, returns the floats of the
+@given(cfg=env_configs(), seed=SEEDS, data=st.data())
+def test_repel_memo_matches_references(backend, cfg, seed, data):
+    """Every repel on one env, memo hit or miss, returns the values of the
     oracle follower step, reward, mse and state index, down to the sign of
-    zero. Each call starts from one of a few densities (so most calls
-    hit) or from the followers the previous call returned."""
-    env = HerdingEnv(replace(cfg, backend="mean-field"))
+    zero, and draws what the oracle draws from an identically seeded stream.
+    Each call starts from one of a few follower vectors (so most mean-field
+    calls hit) or from the followers the previous call returned."""
+    env = HerdingEnv(replace(cfg, backend=backend))
     m = cfg.num_vertices
     starts = [list(_simplex(data.draw, m)) for _ in range(data.draw(st.integers(1, 4)))]
+    if backend == "dtmc":
+        starts = [largest_remainder_counts(x, cfg.num_agents).tolist() for x in starts]
     calls = st.tuples(st.integers(0, len(starts)), st.integers(0, m - 1))
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     followers = starts[0]
     for i, v in data.draw(st.lists(calls, min_size=1, max_size=24)):
-        density = starts[i] if i < len(starts) else followers
-        expected = oracles.follower_step(env, density, LeaderState(v, 1), None).tolist()
-        followers, sq, code = env.repel(density, v, None)
+        before = starts[i] if i < len(starts) else followers
+        expected = oracles.follower_step(env, before, LeaderState(v, 1), oracle_rng).tolist()
+        followers, sq, code = env.repel(before, v, rng)
         assert type(followers) is tuple
-        assert [x.hex() for x in followers] == [x.hex() for x in expected]
-        assert (-sq).hex() == oracles.reward(expected, env.target).hex()
-        assert (sq / m).hex() == oracles.mse(expected, env.target).hex()
+        # (type, hex) tells int counts from floats and -0.0 from 0.0.
+        assert [(type(x), float(x).hex()) for x in followers] == [
+            (type(x), float(x).hex()) for x in expected
+        ]
+        seen = oracles.observe(env, expected)
+        assert (-sq).hex() == oracles.reward(seen, env.target).hex()
+        assert (sq / m).hex() == oracles.mse(seen, env.target).hex()
         assert v + m * code == oracles.state_index(env, expected, v)
+    assert rng.random() == oracle_rng.random()
 
 
 @SETTINGS
