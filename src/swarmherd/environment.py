@@ -27,7 +27,7 @@ BACKENDS = ("dtmc", "mean-field")
 # How far from 1 a configured distribution's sum may be.
 SIMPLEX_ATOL = 1e-9
 # Most repel results one HerdingEnv keeps, on either backend. Headline dtmc
-# training stores about 12,800 count vectors (2.7 MiB, about 220 bytes each);
+# training stores about 12,800 count vectors (under 3 MiB, about 230 bytes each);
 # mean-field training of the 2x2 grid at 20 bins stores 16,665 densities
 # (about 6.3 MB). Past the limit a result is computed and not stored.
 MAX_MEMO_ENTRIES = 2**15

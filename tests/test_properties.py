@@ -1,7 +1,7 @@
 """Property-based checks: mass conservation, the loop kernels against the
 reference step and state encoder of ``oracles`` over random small grids, the
-repel memo of either backend against fresh references, the encode/decode bijection,
-and fuzzing of the table reader.
+repel memo of either backend against fresh references, the encode/decode
+bijection, and fuzzing of the table reader.
 
 Examples are derandomized and bounded so the suite stays fast and repeatable.
 """
