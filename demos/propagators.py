@@ -11,7 +11,7 @@ Run: python demos/propagators.py
 
 import numpy as np
 
-from swarmherd import EnvConfig, HerdingEnv, LeaderState, largest_remainder_counts
+from swarmherd import EnvConfig, HerdingEnv, LeaderState
 
 
 ## A 2x2 grid, vertices 0..3 in row-major order. While the leader repels,
@@ -31,21 +31,22 @@ def herding_env(num_agents=100, backend="dtmc"):
 
 
 mean_field = herding_env(backend="mean-field")
-print("vertices:", mean_field.graph.num_vertices)
-print("neighbors per vertex:", mean_field.graph.neighbors)
-initial = mean_field.initial.tolist()
+print("vertices:", mean_field.cfg.num_vertices)
+print("neighbors per vertex:", mean_field.neighbors)
+initial = mean_field.cfg.initial_dist
 
 ## One deterministic density step with a repelling leader at vertex 0:
 ## 10% of the local mass leaves along each edge, the rest stays. repel
 ## also returns the squared distance to the target and the state code.
 density, sq, _ = mean_field.repel(initial, 0, None)
-print("\ndensity before:", initial)
+print("\ndensity before:", list(initial))
 print("density after: ", list(density), f"(squared error {sq:.4f})")
 
-## The same step on 100 integer agents is a multinomial draw.
+## The same step on 100 integer agents is a multinomial draw, from the
+## largest-remainder apportionment of the initial distribution.
 counts_env = herding_env(num_agents=100)
 rng = np.random.default_rng(7)
-counts = largest_remainder_counts(mean_field.initial, 100).tolist()
+counts = counts_env.start
 print("\ncounts before:", counts)
 print("counts after: ", counts_env.repel(counts, 0, rng)[0])
 
@@ -56,7 +57,7 @@ print("counts after: ", counts_env.repel(counts, 0, rng)[0])
 def final_gap(env, seed):
     rng = np.random.default_rng(seed)
     n = env.cfg.num_agents
-    counts = largest_remainder_counts(env.initial, n).tolist()
+    counts = env.start
     density = initial
     leader = LeaderState(0, 0)
     for k in range(100):

@@ -11,8 +11,10 @@ Run: python demos/train_and_rollout.py
 import numpy as np
 
 from swarmherd import (
+    Action,
     EnvConfig,
     HerdingEnv,
+    LeaderState,
     LearnerConfig,
     TrainConfig,
     evaluate,
@@ -47,25 +49,26 @@ lengths = [s.length for s in result.episodes]
 print(f"trained {train_cfg.episodes} episodes; "
       f"first ten lengths {lengths[:10]}, last ten {lengths[-10:]}")
 
-## Roll the greedy policy out once and print each step. One step: look the
-## leader's move up in env.moves; if it repels, env.repel moves the followers
-## and rescores them in one call.
+## Roll the greedy policy out once and print each step. A reset gives the
+## start counts and the leader's vertex; the env scored the start once
+## (reset_score). One step: look the leader's move up in env.moves; if it
+## repels, env.repel moves the followers and rescores them in one call.
 env = HerdingEnv(env_cfg)
 m = env_cfg.num_vertices
 rng = np.random.default_rng(123)
-followers, leader = env.reset(rng)
-followers = followers.tolist()
-sq, code = env.score(followers)
+followers, v = env.reset(rng)
+leader = LeaderState(v, 0)
+sq, code = env.reset_score
 print(f"\nstart: counts={followers} leader at v{leader.vertex}")
 for k in range(1, env_cfg.max_iterations + 1):
     idx = leader.vertex + m * code
-    action = greedy_action_index(result.table, idx, env.actions[leader.vertex])
+    action = greedy_action_index(result.table, idx, env.action_ids[leader.vertex])
     leader = env.moves[leader.vertex][action]
     if leader.flag:
         followers, sq, code = env.repel(followers, leader.vertex, rng)
     terminal = sq / m < env_cfg.mu
     marker = " <- target reached" if terminal else ""
-    print(f"k={k:>2} {action.label:<5} counts={followers} "
+    print(f"k={k:>2} {Action(action).label:<5} counts={followers} "
           f"leader=v{leader.vertex}{'*' if leader.flag else ' '}{marker}")
     if terminal:
         break

@@ -20,7 +20,6 @@ from .environment import (
     num_states,
     valid_actions,
 )
-from .graph import Graph, make_grid
 from .harness import (
     EvalAggregate,
     EpisodeStats,
@@ -48,7 +47,6 @@ __all__ = [
     "EnvConfig",
     "EpisodeStats",
     "EvalAggregate",
-    "Graph",
     "HerdingEnv",
     "LeaderState",
     "LearnerConfig",
@@ -64,7 +62,6 @@ __all__ = [
     "evaluate",
     "largest_remainder_counts",
     "load_qtable",
-    "make_grid",
     "num_states",
     "save_qtable",
     "sweep",

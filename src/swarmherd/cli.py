@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dynamics import LeaderState
 from .environment import (
     Action,
     EnvConfig,
@@ -417,8 +418,8 @@ def cmd_simulate(args) -> int:
         check_compatible(table, env_cfg)
     env = HerdingEnv(env_cfg)
     rng = np.random.default_rng(cfg["train"]["seed"])
-    followers, leader = env.reset(rng)
-    followers = followers.tolist()
+    followers, v = env.reset(rng)
+    leader = LeaderState(v, 0)
     m = env_cfg.num_vertices
     # The step of evaluate(): only a repel step moves the followers and rescores them.
     sq, code = env.reset_score

@@ -21,7 +21,6 @@ import numpy as np
 
 from .dynamics import LeaderState, repel_counts, repel_density
 from .errors import ConfigError, EncodingError, InvalidActionError
-from .graph import Graph, make_grid
 
 BACKENDS = ("dtmc", "mean-field")
 # How far from 1 a configured distribution's sum may be.
@@ -57,29 +56,29 @@ _MOVES = {
 }
 
 
-def valid_actions(g: Graph, vertex: int) -> tuple[Action, ...]:
-    """Actions available at ``vertex``: grid moves that exist, plus Stay.
+def valid_actions(cfg: EnvConfig, vertex: int) -> tuple[Action, ...]:
+    """Actions available at ``vertex`` of the grid: moves that stay on it, plus Stay.
 
     The order is the canonical [Left, Right, Up, Down, Stay] filtered to
     existing neighbors; Stay is always last and always present.
     """
-    if not 0 <= vertex < g.num_vertices:
+    if not 0 <= vertex < cfg.num_vertices:
         raise IndexError(f"vertex {vertex} out of range")
-    r, c = divmod(vertex, g.cols)
+    r, c = divmod(vertex, cfg.cols)
     acts = []
     if c > 0:
         acts.append(Action.LEFT)
-    if c + 1 < g.cols:
+    if c + 1 < cfg.cols:
         acts.append(Action.RIGHT)
     if r > 0:
         acts.append(Action.UP)
-    if r + 1 < g.rows:
+    if r + 1 < cfg.rows:
         acts.append(Action.DOWN)
     acts.append(Action.STAY)
     return tuple(acts)
 
 
-def apply_leader_action(g: Graph, leader: LeaderState, action: Action) -> LeaderState:
+def apply_leader_action(cfg: EnvConfig, leader: LeaderState, action: Action) -> LeaderState:
     """Deterministic leader transition.
 
     Stay keeps the vertex and raises the repelling flag; a directional move
@@ -92,11 +91,11 @@ def apply_leader_action(g: Graph, leader: LeaderState, action: Action) -> Leader
         raise InvalidActionError(f"{action} is not available at vertex {leader.vertex}") from None
     if action is Action.STAY:
         return LeaderState(leader.vertex, 1)
-    if action not in valid_actions(g, leader.vertex):
+    if action not in valid_actions(cfg, leader.vertex):
         raise InvalidActionError(f"{action.label} is not available at vertex {leader.vertex}")
     dr, dc = _MOVES[action]
-    r, c = divmod(leader.vertex, g.cols)
-    return LeaderState((r + dr) * g.cols + (c + dc), 0)
+    r, c = divmod(leader.vertex, cfg.cols)
+    return LeaderState((r + dr) * cfg.cols + (c + dc), 0)
 
 
 class DiscretizedState(NamedTuple):
@@ -149,15 +148,18 @@ def largest_remainder_counts(density: np.ndarray, num_agents: int) -> np.ndarray
     """Integer apportionment of num_agents proportional to density.
 
     Largest-remainder method; remainder ties go to the lower vertex index.
-    The result always sums to num_agents exactly.
+    The shares are scaled by the density's sum, which may be off 1 by
+    rounding, and the result always sums to num_agents exactly.
     """
     density = np.asarray(density, dtype=np.float64)
-    shares = density * num_agents
+    shares = density * (num_agents / sum(density.tolist()))
     counts = np.floor(shares).astype(np.int64)
     leftover = num_agents - int(counts.sum())
     by_remainder = sorted(range(len(density)), key=lambda v: (-(shares[v] - counts[v]), v))
-    for v in by_remainder[:leftover]:
+    for v in by_remainder[:max(leftover, 0)]:
         counts[v] += 1
+    # Near 2**53 a share's rounding error reaches whole agents; the largest count takes it.
+    counts[np.argmax(counts)] += num_agents - int(counts.sum())
     return counts
 
 
@@ -218,7 +220,7 @@ class EnvConfig:
 
 
 class HerdingEnv:
-    """Grid graph and per-vertex lookup tables bundled for fast stepping.
+    """Per-vertex lookup tables of one :class:`EnvConfig`, bundled for fast stepping.
 
     Instances hold no episode state, so one env can serve any number of
     concurrent episodes as long as each uses its own random stream. One
@@ -227,20 +229,22 @@ class HerdingEnv:
     (``action_ids[v]`` lists the valid a as ints); if its flag is up,
     :meth:`repel` moves the followers and rates the result in one call. A
     move leaves the followers unchanged, so only a repel step needs a new
-    score; :attr:`reset_score` is the score of the reset state.
+    score; :attr:`reset_score` is the score of :attr:`start`, the followers
+    every episode begins from. ``neighbors[v]`` lists the grid neighbors of
+    v in ascending order, the order of the multinomial categories.
     """
 
     def __init__(self, cfg: EnvConfig):
         self.cfg = cfg
-        self.graph = make_grid(cfg.rows, cfg.cols)
-        self.initial = np.asarray(cfg.initial_dist, dtype=np.float64)
-        self.target = np.asarray(cfg.target_dist, dtype=np.float64)
-        m = self.graph.num_vertices
-        self.actions = tuple(valid_actions(self.graph, v) for v in range(m))
-        self.action_ids = tuple(tuple(int(a) for a in acts) for acts in self.actions)
+        m = cfg.num_vertices
+        self.action_ids = tuple(tuple(int(a) for a in valid_actions(cfg, v)) for v in range(m))
         self.moves = tuple(
-            {int(a): apply_leader_action(self.graph, LeaderState(v, 0), a) for a in self.actions[v]}
-            for v in range(m)
+            {a: apply_leader_action(cfg, LeaderState(v, 0), a) for a in acts}
+            for v, acts in enumerate(self.action_ids)
+        )
+        # Every move but Stay lands on a neighbor with the flag down.
+        self.neighbors = tuple(
+            tuple(sorted(u for u, flag in row.values() if not flag)) for row in self.moves
         )
         self._counts_backend = cfg.backend == "dtmc"
         # Per-vertex repel shares: beta toward each sorted neighbor, then the
@@ -248,30 +252,27 @@ class HerdingEnv:
         # density flow.
         beta = float(cfg.beta)
         as_shares = np.array if self._counts_backend else list
-        rows = ((beta,) * len(nbrs) for nbrs in self.graph.neighbors)
+        rows = ((beta,) * len(nbrs) for nbrs in self.neighbors)
         self._repel_shares = tuple(as_shares((*row, 1.0 - sum(row))) for row in rows)
-        self._initial_counts = largest_remainder_counts(self.initial, cfg.num_agents)
         # Dividing a density by 1 is exact, so one kernel serves both backends.
         self._scale = cfg.num_agents if self._counts_backend else 1
-        self._target = self.target.tolist()
         self._radix_weights = tuple((cfg.bins + 1) ** v for v in range(m))
-        self._m = m
         # Repel results keyed by the counts reached or by (vertex, *density); see repel().
         self._memo: dict[tuple, tuple[tuple, float, int]] = {}
-        # reset() always starts from the same followers, so they are scored once.
-        start = self._initial_counts if self._counts_backend else self.initial
-        self.reset_score = self.score(start.tolist())
+        # The followers of every reset, immutable like a repel result, scored once.
+        self.start = (
+            tuple(largest_remainder_counts(cfg.initial_dist, cfg.num_agents).tolist())
+            if self._counts_backend else cfg.initial_dist
+        )
+        self.reset_score = self.score(self.start)
 
-    def reset(self, rng: np.random.Generator) -> tuple[np.ndarray, LeaderState]:
-        """Fresh episode: followers at the initial distribution, leader uniform, flag down.
+    def reset(self, rng: np.random.Generator) -> tuple[tuple, int]:
+        """Fresh episode: ``(start, vertex)``, the leader at a uniform vertex, flag down.
 
-        With the dtmc backend the initial counts are the largest-remainder
-        apportionment of num_agents over initial_dist.
+        With the dtmc backend :attr:`start` holds the largest-remainder
+        apportionment of num_agents over initial_dist, else initial_dist itself.
         """
-        leader = LeaderState(int(rng.integers(self._m)), 0)
-        if self._counts_backend:
-            return self._initial_counts.copy(), leader
-        return self.initial.copy(), leader
+        return self.start, int(rng.integers(self.cfg.num_vertices))
 
     def repel(
         self, followers: Sequence, vertex: int, rng: np.random.Generator
@@ -288,12 +289,12 @@ class HerdingEnv:
         """
         if self._counts_backend:
             out = tuple(repel_counts(
-                followers, vertex, self.graph.neighbors[vertex], self._repel_shares[vertex], rng
+                followers, vertex, self.neighbors[vertex], self._repel_shares[vertex], rng
             ))
             return self._memo.get(out) or self._remember(out, out)
         key = (vertex, *followers)
         return self._memo.get(key) or self._remember(key, tuple(repel_density(
-            followers, vertex, self.graph.neighbors[vertex], self._repel_shares[vertex]
+            followers, vertex, self.neighbors[vertex], self._repel_shares[vertex]
         )))
 
     def _remember(self, key: tuple, out: tuple) -> tuple[tuple, float, int]:
@@ -316,7 +317,7 @@ class HerdingEnv:
         bins = self.cfg.bins
         diff = []
         code = 0
-        for y, t, weight in zip(followers, self._target, self._radix_weights):
+        for y, t, weight in zip(followers, self.cfg.target_dist, self._radix_weights):
             x = y / n
             diff.append(x - t)
             f = int(bins * x + 0.5)

@@ -105,11 +105,11 @@ def train(cfg: TrainConfig) -> TrainResult:
     Deterministic for a fixed seed.
 
     Each step runs the :class:`HerdingEnv` kernels on plain values: followers
-    start as a list and become the env's memoized tuple after a repel, and
-    only a repel step moves and rescores them, so a move step keeps the
-    previous reward, terminal test and follower code. Q-Learning scans row s'
-    once: the argmax behind its target is the next step's greedy pick, unless
-    the TD write changed that row (s' == s).
+    are the env's immutable tuples, its start and then a repel's memoized
+    result, and only a repel step moves and rescores them, so a move step
+    keeps the previous reward, terminal test and follower code. Q-Learning
+    scans row s' once: the argmax behind its target is the next step's greedy
+    pick, unless the TD write changed that row (s' == s).
     """
     # The table first: its size check refuses an oversized grid before any work.
     table = QTable.zeros(cfg.env.bins, cfg.env.rows, cfg.env.cols)
@@ -126,8 +126,7 @@ def train(cfg: TrainConfig) -> TrainResult:
     stats = []
     for episode in range(cfg.episodes):
         epsilon = cfg.learner.episode_epsilon(episode, cfg.episodes)
-        followers, leader = env.reset(rng)
-        followers, v = followers.tolist(), leader.vertex
+        followers, v = env.reset(rng)
         sq, code = env.reset_score
         total = 0.0
         if sq / m < mu:
@@ -220,8 +219,7 @@ def evaluate(
     for run in range(runs):
         run_seed = derive_seed(seed, run)
         rng = np.random.default_rng(run_seed)
-        followers, leader = env.reset(rng)
-        followers, v = followers.tolist(), leader.vertex
+        followers, v = env.reset(rng)
         sq, code = env.reset_score
         iterations = 0
         converged = sq / m < mu

@@ -3,7 +3,7 @@
 The table keeps only the states it has values for: a dict from the mixed-radix
 state index to a list of that state's action values, one float per action. A
 state without a row reads a shared all-zero tuple, and the TD write adds a
-row the first time it writes one. argmax and max always range over the
+row the first time it writes one. The argmax always ranges over the
 actions valid at the relevant leader vertex, never the full action set.
 SARSA and Q-Learning differ only in the target they pass to :func:`td_update`.
 On disk the table is dense; see :func:`save_qtable`.
@@ -153,16 +153,12 @@ def greedy_action_index(q: QTable, state_index: int, valid: Sequence[Action]) ->
     return best
 
 
-def max_action_value(q: QTable, state_index: int, valid: Sequence[Action]) -> float:
-    """Largest stored value among the valid actions at a state."""
-    return q.store.get(state_index, q.zero)[greedy_action_index(q, state_index, valid)]
-
-
 def td_update(q: QTable, s: int, a: int, target: float, alpha: float) -> None:
     """The TD write ``Q(s,a) += alpha * (target - Q(s,a))``, in place, on plain floats.
 
     The target is ``r`` at a terminal step, else ``r + gamma * Q(s',a')`` for
-    SARSA and ``r + gamma * max_action_value(q, s', valid')`` for Q-Learning.
+    SARSA and ``r + gamma * Q(s',b)`` for Q-Learning, with ``b`` the
+    :func:`greedy_action_index` over the actions valid at s'.
     The first write to a state adds its row.
     """
     row = q.store.get(s)

@@ -52,6 +52,13 @@ def smoke_env(**overrides) -> EnvConfig:
     return EnvConfig(**base)
 
 
+def grid_env(rows: int, cols: int) -> EnvConfig:
+    """A valid dtmc config on a rows x cols grid; every agent starts and
+    ends on vertex 0."""
+    dist = (1.0,) + (0.0,) * (rows * cols - 1)
+    return EnvConfig(rows, cols, 10, 0.1, 1, 0.0025, dist, dist)
+
+
 def smoke_train(algorithm="qlearning", episodes=50, seed=5, env=None, **env_overrides) -> TrainConfig:
     return TrainConfig(
         env=env if env is not None else smoke_env(**env_overrides),

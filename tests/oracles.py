@@ -8,7 +8,7 @@ references below spell out on numpy arrays what the training, evaluation
 and simulate loops do on plain values. Neighbors come from grid
 coordinates and repel shares from ``beta``. None of them calls the loop
 kernels (``HerdingEnv.repel``/``score`` and the ``dynamics`` functions
-under them, ``td_update``, ``max_action_value``, ``greedy_action_index``),
+under them, ``td_update``, ``greedy_action_index``),
 so a fault there shows as a mismatch.
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from swarmherd import HerdingEnv, LeaderState, apply_leader_action
+from swarmherd import HerdingEnv, LeaderState, apply_leader_action, valid_actions
 from swarmherd.environment import (
     DiscretizedState,
     decode_state,
@@ -100,10 +100,11 @@ def reference_step(env: HerdingEnv, followers, leader: LeaderState, action, rng)
     Returns (followers', leader', reward, terminal); ``rng`` is drawn from
     only when the leader repels.
     """
-    leader = apply_leader_action(env.graph, leader, action)
+    leader = apply_leader_action(env.cfg, leader, action)
     followers = follower_step(env, followers, leader, rng)
     dist = observe(env, followers)
-    return followers, leader, reward(dist, env.target), mse(dist, env.target) < env.cfg.mu
+    target = env.cfg.target_dist
+    return followers, leader, reward(dist, target), mse(dist, target) < env.cfg.mu
 
 
 def masked_argmax(values: np.ndarray, s: int, valid) -> int:
@@ -134,7 +135,7 @@ def qlearning_write(values, s, a, r, s2, valid2, alpha, gamma, terminal=False) -
     values[s, a] += alpha * (target - values[s, a])
 
 
-def mean_field_matrix_step(g, beta, leader, density):
+def mean_field_matrix_step(cfg, beta, leader, density):
     """Propagate a density by explicitly summing per-edge routing matrices.
 
     The grid's edges come from vertex coordinates: (src, dst) is an edge
@@ -145,7 +146,7 @@ def mean_field_matrix_step(g, beta, leader, density):
     leader's vertex, the complementary mass on that vertex's self-edge,
     and an identity self-loop everywhere else).
     """
-    m = g.num_vertices
+    m = cfg.num_vertices
     density = np.asarray(density, dtype=np.float64)
     out = np.zeros(m)
     repelling = leader.flag == 1
@@ -153,7 +154,7 @@ def mean_field_matrix_step(g, beta, leader, density):
         (src, dst)
         for src in range(m)
         for dst in range(m)
-        if abs(src // g.cols - dst // g.cols) + abs(src % g.cols - dst % g.cols) <= 1
+        if abs(src // cfg.cols - dst // cfg.cols) + abs(src % cfg.cols - dst % cfg.cols) <= 1
     ]
     for src, dst in edges:
         if src == dst:
@@ -197,20 +198,21 @@ class PolicyOracle:
                 self.representative[idx] = np.array(ds.fractions, dtype=np.float64) / total
         self.terminal = {}
         self.transitions = {}
+        target = cfg.target_dist
         for idx, density in self.representative.items():
             ds = decode_state(idx, self.bins, self.m)
-            self.terminal[idx] = mse(density, env.target) < cfg.mu
+            self.terminal[idx] = mse(density, target) < cfg.mu
             if self.terminal[idx]:
                 continue
             moves = {}
-            for action in env.actions[ds.leader_vertex]:
-                leader = apply_leader_action(env.graph, LeaderState(ds.leader_vertex, 0), action)
+            for action in valid_actions(cfg, ds.leader_vertex):
+                leader = apply_leader_action(cfg, LeaderState(ds.leader_vertex, 0), action)
                 next_density = follower_step(env, density, leader, None)
                 next_idx = self._encode(next_density, leader.vertex)
                 moves[action] = (
                     next_idx,
-                    reward(next_density, env.target),
-                    mse(next_density, env.target) < cfg.mu,
+                    reward(next_density, target),
+                    mse(next_density, target) < cfg.mu,
                 )
             self.transitions[idx] = moves
         self.values = self._value_iteration()
@@ -240,7 +242,7 @@ class PolicyOracle:
         best_action, best_value = None, None
         # Iterate in canonical action order so ties break exactly like the
         # learner's greedy selection.
-        for action in self.env.actions[ds.leader_vertex]:
+        for action in valid_actions(self.env.cfg, ds.leader_vertex):
             nxt, r, term = self.transitions[idx][action]
             value = r + (0.0 if term else self.gamma * self.values[nxt])
             if best_value is None or value > best_value + 1e-12:
@@ -254,7 +256,7 @@ class PolicyOracle:
         position over the initial fraction vector seeds the search; terminal
         states stop the expansion.
         """
-        fractions = tuple(int(x) for x in discretize(self.env.initial, self.bins))
+        fractions = tuple(int(x) for x in discretize(self.env.cfg.initial_dist, self.bins))
         frontier = [
             encode_state(DiscretizedState(fractions, v), self.bins, self.m)
             for v in range(self.m)

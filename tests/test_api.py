@@ -8,21 +8,20 @@ import sys
 from pathlib import Path
 
 import swarmherd
-from swarmherd import HerdingEnv, dynamics, environment, errors, graph, learner
+from swarmherd import HerdingEnv, dynamics, environment, errors, learner
 
 from helpers import headline_env
 
 # The ndarray step, encode and TD layer the loop kernels replaced, the
-# general-graph layer that the grid-only topology replaced, and the rate
-# type and step wrappers that HerdingEnv.repel replaced.
+# graph module whose grid EnvConfig and HerdingEnv.neighbors now spell, the
+# rate type and step wrappers that HerdingEnv.repel replaced, and the masked
+# max that the Q-Learning target's greedy_action_index replaced.
 RETIRED = {
-    environment: ("reward", "mse", "discretize"),
-    learner: ("q_lookup", "select_action", "update_sarsa", "update_qlearning"),
+    swarmherd: ("graph", "Graph", "make_grid", "max_action_value"),
+    environment: ("reward", "mse", "discretize", "Graph", "make_grid"),
+    learner: ("q_lookup", "select_action", "update_sarsa", "update_qlearning", "max_action_value"),
     HerdingEnv: ("step", "observe", "state_index", "mse_to_target"),
-    graph: ("is_strongly_connected", "out_neighbors"),
-    graph.Graph: ("from_edges",),
-    graph.make_grid(2, 2): ("edges",),
-    HerdingEnv(headline_env()): ("rates",),
+    HerdingEnv(headline_env()): ("rates", "graph", "initial", "target", "actions"),
     dynamics: (
         "empirical_distribution",
         "TransitionRates",

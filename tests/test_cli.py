@@ -9,6 +9,7 @@ from swarmherd import (
     Action,
     EnvConfig,
     HerdingEnv,
+    LeaderState,
     LearnerConfig,
     QTable,
     decode_state,
@@ -508,24 +509,26 @@ def _reference_simulate(env_cfg, values, epsilon, seed):
     """trace.csv and the frames, rebuilt step by step on the reference step."""
     env = HerdingEnv(env_cfg)
     rng = np.random.default_rng(seed)
-    followers, leader = env.reset(rng)
+    followers, v = env.reset(rng)
+    leader = LeaderState(v, 0)
     density = oracles.observe(env, followers)
-    m = oracles.mse(density, env.target)
+    target = env_cfg.target_dist
+    m = oracles.mse(density, target)
     terminal = m < env_cfg.mu
     lines = [trace_header(env_cfg), trace_row(0, leader, None, followers,
-                                              oracles.reward(density, env.target), m, terminal)]
+                                              oracles.reward(density, target), m, terminal)]
     frames = [render_frame(env, 0, None, followers, leader, m)]
     for k in range(1, env_cfg.max_iterations + 1):
         if terminal:
             break
-        valid = env.actions[leader.vertex]
+        valid = env.action_ids[leader.vertex]
         if values is None:
             action = valid[int(rng.integers(len(valid)))]
         else:
             s = oracles.state_index(env, followers, leader.vertex)
             action = oracles.select(values, s, valid, epsilon, rng)
         followers, leader, r, terminal = oracles.reference_step(env, followers, leader, action, rng)
-        m = oracles.mse(oracles.observe(env, followers), env.target)
+        m = oracles.mse(oracles.observe(env, followers), target)
         lines.append(trace_row(k, leader, action, followers, r, m, terminal))
         frames.append(render_frame(env, k, action, followers, leader, m))
     return "\n".join(lines) + "\n", "\n\n".join(frames), terminal

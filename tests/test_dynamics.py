@@ -176,7 +176,7 @@ def test_mean_field_matches_matrix_oracle(density_env):
         dens = random_simplex(rng, 4)
         v = int(rng.integers(4))
         fast, _, _ = density_env.repel(dens.tolist(), v, None)
-        slow = mean_field_matrix_step(density_env.graph, 0.1, LeaderState(v, 1), dens)
+        slow = mean_field_matrix_step(density_env.cfg, 0.1, LeaderState(v, 1), dens)
         assert np.all(np.abs(np.array(fast) - slow) < 1e-12)
 
 

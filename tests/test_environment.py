@@ -13,7 +13,6 @@ from swarmherd import (
     decode_state,
     encode_state,
     largest_remainder_counts,
-    make_grid,
     num_states,
     valid_actions,
 )
@@ -22,12 +21,19 @@ from swarmherd.environment import trace_header, trace_row
 from swarmherd.errors import ConfigError, EncodingError, InvalidActionError
 
 import oracles
-from helpers import HEADLINE_INITIAL, HEADLINE_TARGET, headline_env, kernel_step, smoke_env
+from helpers import (
+    HEADLINE_INITIAL,
+    HEADLINE_TARGET,
+    grid_env,
+    headline_env,
+    kernel_step,
+    smoke_env,
+)
 
 
 @pytest.fixture(scope="module")
 def grid():
-    return make_grid(2, 2)
+    return grid_env(2, 2)
 
 
 # --- actions -----------------------------------------------------------------
@@ -38,19 +44,19 @@ def test_valid_actions_corners(grid):
 
 
 def test_valid_actions_1x2():
-    assert valid_actions(make_grid(1, 2), 0) == (Action.RIGHT, Action.STAY)
+    assert valid_actions(grid_env(1, 2), 0) == (Action.RIGHT, Action.STAY)
 
 
 def test_valid_actions_center_has_all_five():
-    g = make_grid(3, 3)
-    assert valid_actions(g, 4) == tuple(Action)
+    assert valid_actions(grid_env(3, 3), 4) == tuple(Action)
 
 
 def test_valid_actions_cardinality(grid):
+    neighbors = HerdingEnv(grid).neighbors
     for v in range(4):
         acts = valid_actions(grid, v)
         assert Action.STAY in acts
-        assert len(acts) == 1 + len(grid.neighbors[v])
+        assert len(acts) == 1 + len(neighbors[v])
 
 
 def test_apply_stay_raises_flag(grid):
@@ -190,34 +196,53 @@ def test_largest_remainder_always_sums(grid):
         assert counts.min() >= 0
 
 
+@pytest.mark.parametrize("dist,n", [
+    ((0.5 - 5e-10, 0.5), 10**12),
+    ((0.5 + 5e-10, 0.5), 10**12),
+    ((0.25, 0.25, 0.25, 0.25 - 9e-10), 10**12),
+    # Near 2**53 a share's rounding error alone reaches whole agents.
+    ((0.6821692932799132, 0.3178307060718144), 9007199254740352),
+])
+def test_largest_remainder_sums_when_the_distribution_is_off_by_rounding(dist, n):
+    # EnvConfig admits a sum that is off 1 by up to SIMPLEX_ATOL.
+    assert abs(sum(dist) - 1.0) <= environment.SIMPLEX_ATOL
+    assert int(largest_remainder_counts(dist, n).sum()) == n
+    cfg = grid_env(1 if len(dist) == 2 else 2, 2)
+    cfg = EnvConfig(cfg.rows, cfg.cols, n, 0.1, 10, 0.0025, dist, dist)
+    assert sum(HerdingEnv(cfg).start) == n
+
+
 def test_reset_counts_and_flag():
     cfg = headline_env()
-    followers, leader = HerdingEnv(cfg).reset(np.random.default_rng(3))
-    assert followers.tolist() == [40, 10, 10, 40]
-    assert leader.flag == 0
+    env = HerdingEnv(cfg)
+    followers, vertex = env.reset(np.random.default_rng(3))
+    assert followers == (40, 10, 10, 40) and followers is env.start
+    assert all(type(x) is int for x in followers)
+    assert type(vertex) is int and 0 <= vertex < 4
 
 
 def test_reset_leader_uniformish():
     cfg = headline_env()
     rng = np.random.default_rng(4)
     env = HerdingEnv(cfg)
-    seen = {env.reset(rng)[1].vertex for _ in range(200)}
+    seen = {env.reset(rng)[1] for _ in range(200)}
     assert seen == {0, 1, 2, 3}
 
 
 def test_reset_mean_field_returns_initial_exactly():
     cfg = headline_env(backend="mean-field")
     followers, _ = HerdingEnv(cfg).reset(np.random.default_rng(5))
-    assert followers.tolist() == list(HEADLINE_INITIAL)
+    assert followers == HEADLINE_INITIAL and followers is cfg.initial_dist
 
 
 @pytest.mark.parametrize("backend", ["dtmc", "mean-field"])
 def test_reset_score_is_the_oracle_score_of_the_reset_state(backend):
     env = HerdingEnv(headline_env(backend=backend))
-    followers, leader = env.reset(np.random.default_rng(6))
+    followers, vertex = env.reset(np.random.default_rng(6))
     sq, code = env.reset_score
-    assert (-sq).hex() == oracles.reward(oracles.observe(env, followers), env.target).hex()
-    assert leader.vertex + 4 * code == oracles.state_index(env, followers, leader.vertex)
+    target = env.cfg.target_dist
+    assert (-sq).hex() == oracles.reward(oracles.observe(env, followers), target).hex()
+    assert vertex + 4 * code == oracles.state_index(env, followers, vertex)
 
 
 # --- one iteration on the loop kernels ------------------------------------------
@@ -250,10 +275,10 @@ def test_env_step_terminal_iff_mse_below_mu():
     cfg = headline_env()
     rng = np.random.default_rng(6)
     env = HerdingEnv(cfg)
-    followers, leader = env.reset(rng)
-    followers = followers.tolist()
+    followers, v = env.reset(rng)
+    leader = LeaderState(v, 0)
     for _ in range(200):
-        acts = env.actions[leader.vertex]
+        acts = env.action_ids[leader.vertex]
         action = acts[int(rng.integers(len(acts)))]
         followers, leader, r, terminal = kernel_step(env, followers, leader, action, rng)
         m = oracles.mse(np.array(followers) / cfg.num_agents, np.array(HEADLINE_TARGET))
@@ -266,10 +291,10 @@ def test_env_step_conserves_mass_both_backends():
     for backend in ("dtmc", "mean-field"):
         cfg = headline_env(backend=backend)
         env = HerdingEnv(cfg)
-        followers, leader = env.reset(rng)
-        followers = followers.tolist()
+        followers, v = env.reset(rng)
+        leader = LeaderState(v, 0)
         for _ in range(100):
-            acts = env.actions[leader.vertex]
+            acts = env.action_ids[leader.vertex]
             followers, leader, _, _ = kernel_step(
                 env, followers, leader, acts[int(rng.integers(len(acts)))], rng
             )
@@ -286,7 +311,7 @@ def test_env_step_invalid_action():
     with pytest.raises(KeyError):
         env.moves[1][Action.RIGHT]
     with pytest.raises(InvalidActionError):
-        apply_leader_action(env.graph, LeaderState(1, 0), Action.RIGHT)
+        apply_leader_action(env.cfg, LeaderState(1, 0), Action.RIGHT)
 
 
 @pytest.mark.parametrize("action", [1, 7, -1])
@@ -294,7 +319,7 @@ def test_env_step_rejects_bad_action_ints(action):
     env = HerdingEnv(headline_env())
     assert action not in env.moves[1]
     with pytest.raises(InvalidActionError, match="is not available at vertex 1"):
-        apply_leader_action(make_grid(2, 2), LeaderState(1, 0), action)
+        apply_leader_action(env.cfg, LeaderState(1, 0), action)
 
 
 def test_mean_field_replay_is_bitwise_identical():
@@ -320,7 +345,7 @@ def _repel_walk(env, rounds=2):
     on a fixed seed, as (followers, sq, code) with every value spelled by
     ``float.hex``."""
     rng = np.random.default_rng(11)
-    start = env.reset(rng)[0].tolist()
+    start = env.reset(rng)[0]
     out = []
     for _ in range(rounds):
         followers = start
@@ -372,11 +397,11 @@ def test_env_step_matches_free_function_composition():
         env = HerdingEnv(headline_env(backend=backend))
         rng_a = np.random.default_rng(11)
         rng_b = np.random.default_rng(11)
-        followers_a, leader_a = env.reset(rng_a)
-        followers_a = followers_a.tolist()
-        followers_b, leader_b = env.reset(rng_b)
+        followers_a, v_a = env.reset(rng_a)
+        followers_b, v_b = env.reset(rng_b)
+        leader_a, leader_b = LeaderState(v_a, 0), LeaderState(v_b, 0)
         for k in range(200):
-            action = env.actions[leader_a.vertex][k % 3]
+            action = env.action_ids[leader_a.vertex][k % 3]
             followers_a, leader_a, r_a, t_a = kernel_step(
                 env, followers_a, leader_a, action, rng_a
             )
@@ -394,10 +419,10 @@ def test_state_index_matches_encode_pipeline():
     for backend in ("dtmc", "mean-field"):
         cfg = headline_env(backend=backend)
         env = HerdingEnv(cfg)
-        followers, leader = env.reset(rng)
-        followers = followers.tolist()
+        followers, v = env.reset(rng)
+        leader = LeaderState(v, 0)
         for _ in range(300):
-            acts = env.actions[leader.vertex]
+            acts = env.action_ids[leader.vertex]
             followers, leader, _, _ = kernel_step(
                 env, followers, leader, acts[int(rng.integers(len(acts)))], rng
             )

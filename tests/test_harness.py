@@ -7,6 +7,7 @@ import pytest
 from swarmherd import (
     Action,
     HerdingEnv,
+    LeaderState,
     QTable,
     RunRecord,
     SweepCell,
@@ -14,6 +15,7 @@ from swarmherd import (
     evaluate,
     sweep,
     train,
+    valid_actions,
 )
 from swarmherd.environment import BACKENDS, NUM_ACTIONS, decode_state, num_states
 from swarmherd.errors import CompatibilityError, ConfigError
@@ -42,8 +44,8 @@ def test_smoke_training_is_fast_and_herds():
     env = HerdingEnv(cfg.env)
     _, code = env.score([10, 0])
     full_idx, away_idx = 0 + 2 * code, 1 + 2 * code
-    assert greedy_action_index(result.table, full_idx, env.actions[0]) is Action.STAY
-    assert greedy_action_index(result.table, away_idx, env.actions[1]) is Action.LEFT
+    assert greedy_action_index(result.table, full_idx, valid_actions(cfg.env, 0)) is Action.STAY
+    assert greedy_action_index(result.table, away_idx, valid_actions(cfg.env, 1)) is Action.LEFT
 
 
 def test_training_is_deterministic_per_seed():
@@ -98,12 +100,13 @@ def test_train_single_steps_match_update_ops(backend, grid, algorithm):
     alpha, gamma, epsilon = cfg.learner.alpha, cfg.learner.gamma, cfg.learner.epsilon
 
     for _ in range(cfg.episodes):
-        followers, leader = env.reset(rng)
-        if oracles.mse(oracles.observe(env, followers), env.target) < env_cfg.mu:
+        followers, v = env.reset(rng)
+        leader = LeaderState(v, 0)
+        if oracles.mse(oracles.observe(env, followers), env_cfg.target_dist) < env_cfg.mu:
             continue
         s = oracles.state_index(env, followers, leader.vertex)
         if algorithm == "sarsa":
-            a = oracles.select(values, s, env.actions[leader.vertex], epsilon, rng)
+            a = oracles.select(values, s, env.action_ids[leader.vertex], epsilon, rng)
             for _ in range(cfg.max_iters_per_episode):
                 followers, leader, r, terminal = oracles.reference_step(
                     env, followers, leader, a, rng
@@ -112,12 +115,12 @@ def test_train_single_steps_match_update_ops(backend, grid, algorithm):
                     oracles.sarsa_write(values, s, a, r, None, None, alpha, gamma, terminal=True)
                     break
                 s2 = oracles.state_index(env, followers, leader.vertex)
-                a2 = oracles.select(values, s2, env.actions[leader.vertex], epsilon, rng)
+                a2 = oracles.select(values, s2, env.action_ids[leader.vertex], epsilon, rng)
                 oracles.sarsa_write(values, s, a, r, s2, a2, alpha, gamma)
                 s, a = s2, a2
         else:
             for _ in range(cfg.max_iters_per_episode):
-                a = oracles.select(values, s, env.actions[leader.vertex], epsilon, rng)
+                a = oracles.select(values, s, env.action_ids[leader.vertex], epsilon, rng)
                 followers, leader, r, terminal = oracles.reference_step(
                     env, followers, leader, a, rng
                 )
@@ -126,7 +129,7 @@ def test_train_single_steps_match_update_ops(backend, grid, algorithm):
                     break
                 s2 = oracles.state_index(env, followers, leader.vertex)
                 oracles.qlearning_write(
-                    values, s, a, r, s2, env.actions[leader.vertex], alpha, gamma
+                    values, s, a, r, s2, env.action_ids[leader.vertex], alpha, gamma
                 )
                 s = s2
     assert np.array_equal(result.table.values, values)
@@ -142,17 +145,18 @@ def _reference_evaluate(table, env_cfg, runs, eval_max_iters, epsilon_eval, seed
     for run in range(runs):
         run_seed = derive_seed(seed, run)
         rng = np.random.default_rng(run_seed)
-        followers, leader = env.reset(rng)
+        followers, v = env.reset(rng)
+        leader = LeaderState(v, 0)
         iterations = 0
-        converged = oracles.mse(oracles.observe(env, followers), env.target) < env_cfg.mu
+        converged = oracles.mse(oracles.observe(env, followers), env_cfg.target_dist) < env_cfg.mu
         while not converged and iterations < eval_max_iters:
             s = oracles.state_index(env, followers, leader.vertex)
-            a = oracles.select(values, s, env.actions[leader.vertex], epsilon_eval, rng)
+            a = oracles.select(values, s, env.action_ids[leader.vertex], epsilon_eval, rng)
             followers, leader, _, converged = oracles.reference_step(
                 env, followers, leader, a, rng
             )
             iterations += 1
-        final_mse = oracles.mse(oracles.observe(env, followers), env.target)
+        final_mse = oracles.mse(oracles.observe(env, followers), env_cfg.target_dist)
         records.append(RunRecord(run, converged, iterations, final_mse, run_seed))
     return records
 
@@ -301,5 +305,5 @@ def test_smoke_policy_matches_value_iteration_oracle():
     env = HerdingEnv(mean_field)
     for idx in sorted(reachable):
         ds = decode_state(idx, mean_field.bins, mean_field.num_vertices)
-        got = greedy_action_index(result.table, idx, env.actions[ds.leader_vertex])
+        got = greedy_action_index(result.table, idx, valid_actions(mean_field, ds.leader_vertex))
         assert got is oracle.policy[idx], f"state {ds}: {got} != {oracle.policy[idx]}"

@@ -22,7 +22,6 @@ from swarmherd.errors import (
 from swarmherd.learner import (
     _row_bytes,
     greedy_action_index,
-    max_action_value,
     select_action_index,
     td_update,
 )
@@ -48,15 +47,15 @@ def sarsa_update(q, r, a2=A2, cfg=CFG):
 
 
 def qlearning_update(q, r, cfg=CFG):
-    td_update(q, S, A, r + cfg.gamma * max_action_value(q, S2, VALID2), cfg.alpha)
+    td_update(q, S, A, r + cfg.gamma * value(q, S2, greedy_action_index(q, S2, VALID2)), cfg.alpha)
 
 
 # --- lookup -------------------------------------------------------------------
 
 def test_fresh_table_reads_zero():
     q = fresh_table()
-    assert max_action_value(q, S, tuple(Action)) == 0.0
-    assert max_action_value(q, S2, VALID2) == 0.0
+    assert value(q, S, greedy_action_index(q, S, tuple(Action))) == 0.0
+    assert value(q, S2, greedy_action_index(q, S2, VALID2)) == 0.0
     assert not q.store
 
 
@@ -161,7 +160,7 @@ def test_qlearning_max_is_masked_to_valid_actions():
     q = fresh_table()
     put(q, S2, Action.RIGHT, 99.0)  # invalid at the successor, must be ignored
     put(q, S2, Action.LEFT, -1.0)
-    assert max_action_value(q, S2, VALID2) == 0.0
+    assert value(q, S2, greedy_action_index(q, S2, VALID2)) == 0.0
     cfg = LearnerConfig(alpha=1.0, gamma=1.0, epsilon=0.0, algorithm="qlearning")
     qlearning_update(q, 0.0, cfg=cfg)
     assert value(q, S, A) == 0.0  # max(-1, 0), not 99

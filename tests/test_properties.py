@@ -76,8 +76,8 @@ CHOICES = st.lists(st.integers(0, 4), min_size=1, max_size=60)
 def test_step_conserves_mass(cfg, seed, choices):
     env = HerdingEnv(cfg)
     rng = np.random.default_rng(seed)
-    followers, leader = env.reset(rng)
-    followers = followers.tolist()
+    followers, v = env.reset(rng)
+    leader = LeaderState(v, 0)
     for c in choices:
         acts = env.action_ids[leader.vertex]
         followers, leader, r, _ = kernel_step(env, followers, leader, acts[c % len(acts)], rng)
@@ -95,11 +95,12 @@ def test_step_matches_free_functions(cfg, seed, choices):
     env = HerdingEnv(cfg)
     rng_a = np.random.default_rng(seed)
     rng_b = np.random.default_rng(seed)
-    followers_a, leader_a = env.reset(rng_a)
-    followers_a = followers_a.tolist()
-    followers_b, leader_b = env.reset(rng_b)
+    followers_a, v_a = env.reset(rng_a)
+    followers_b, v_b = env.reset(rng_b)
+    leader_a, leader_b = LeaderState(v_a, 0), LeaderState(v_b, 0)
     for c in choices:
-        action = env.actions[leader_a.vertex][c % len(env.actions[leader_a.vertex])]
+        acts = env.action_ids[leader_a.vertex]
+        action = acts[c % len(acts)]
         followers_a, leader_a, r_a, t_a = kernel_step(env, followers_a, leader_a, action, rng_a)
         followers_b, leader_b, r_b, t_b = oracles.reference_step(
             env, followers_b, leader_b, action, rng_b
@@ -162,8 +163,8 @@ def test_repel_memo_matches_references(backend, cfg, seed, data):
             (type(x), float(x).hex()) for x in expected
         ]
         seen = oracles.observe(env, expected)
-        assert (-sq).hex() == oracles.reward(seen, env.target).hex()
-        assert (sq / m).hex() == oracles.mse(seen, env.target).hex()
+        assert (-sq).hex() == oracles.reward(seen, cfg.target_dist).hex()
+        assert (sq / m).hex() == oracles.mse(seen, cfg.target_dist).hex()
         assert v + m * code == oracles.state_index(env, expected, v)
     assert rng.random() == oracle_rng.random()
 
