@@ -13,12 +13,10 @@ from .environment import (
     DiscretizedState,
     EnvConfig,
     HerdingEnv,
-    apply_leader_action,
     decode_state,
     encode_state,
     largest_remainder_counts,
     num_states,
-    valid_actions,
 )
 from .harness import (
     EvalAggregate,
@@ -55,7 +53,6 @@ __all__ = [
     "SweepCell",
     "TrainConfig",
     "TrainResult",
-    "apply_leader_action",
     "decode_state",
     "derive_seed",
     "encode_state",
@@ -66,5 +63,4 @@ __all__ = [
     "save_qtable",
     "sweep",
     "train",
-    "valid_actions",
 ]

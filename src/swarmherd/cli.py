@@ -485,6 +485,9 @@ def _resumed_lines(path: Path) -> list[str]:
 
 
 def cmd_sweep(args) -> int:
+    # Checked first: a resume with every cell done never reaches sweep().
+    if args.jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {args.jobs}")
     cfg = load_run_config(args)
     cells = expand_sweep(cfg, cfg["train"]["seed"])
     if not cells:
@@ -499,12 +502,7 @@ def cmd_sweep(args) -> int:
     kept_rows, kept_runs = [], []
     if args.resume and agg_path.exists():
         _check_resumable(meta_path, settings)
-        # Keep the leading rows that match the grid's first cells: with seeds
-        # drawn from grid positions, those are the rows a fresh run rewrites.
-        for key, line in zip(keys, _resumed_lines(agg_path)):
-            if line.rsplit(",", 4)[0] != key:
-                break
-            kept_rows.append(line)
+        runs_of: dict[int, list[str]] = {}
         if runs_path.exists():
             for number, line in enumerate(_resumed_lines(runs_path), start=2):
                 try:
@@ -513,8 +511,14 @@ def cmd_sweep(args) -> int:
                     raise ConfigError(
                         f"cannot resume: line {number} of {runs_path} is malformed: {line!r}"
                     ) from None
-                if cell < len(kept_rows):
-                    kept_runs.append(line)
+                runs_of.setdefault(cell, []).append(line)
+        # Keep the leading rows that match the grid's first cells and hold all their
+        # runs: with seeds drawn from grid positions, a fresh run rewrites those rows.
+        for cell, (key, line) in enumerate(zip(keys, _resumed_lines(agg_path))):
+            if line.rsplit(",", 4)[0] != key or len(runs_of.get(cell, ())) != sw["runs"]:
+                break
+            kept_rows.append(line)
+            kept_runs += runs_of[cell]
     pending = cells[len(kept_rows):]
     results = []
     if pending:
@@ -619,8 +623,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel training workers, at most one per training group")
     p.add_argument("--resume", action="store_true",
-                   help="keep the leading aggregate rows (and their runs) that match "
-                        "the grid's first cells; compute the rest. Refuses (exit 2) "
+                   help="keep the leading aggregate rows that match the grid's first cells "
+                        "and hold all their run records; compute the rest. Refuses (exit 2) "
                         "unless every non-grid setting matches the saved one")
     p.set_defaults(func=cmd_sweep)
 

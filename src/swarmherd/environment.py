@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .dynamics import LeaderState, repel_counts, repel_density
-from .errors import ConfigError, EncodingError, InvalidActionError
+from .errors import ConfigError, EncodingError
 
 BACKENDS = ("dtmc", "mean-field")
 # How far from 1 a configured distribution's sum may be.
@@ -48,54 +48,14 @@ class Action(IntEnum):
 
 NUM_ACTIONS = len(Action)
 
+# The (row, column) step of each directional action, in canonical order; the
+# one place the grid's geometry is written down. HerdingEnv builds its tables from it.
 _MOVES = {
     Action.LEFT: (0, -1),
     Action.RIGHT: (0, 1),
     Action.UP: (-1, 0),
     Action.DOWN: (1, 0),
 }
-
-
-def valid_actions(cfg: EnvConfig, vertex: int) -> tuple[Action, ...]:
-    """Actions available at ``vertex`` of the grid: moves that stay on it, plus Stay.
-
-    The order is the canonical [Left, Right, Up, Down, Stay] filtered to
-    existing neighbors; Stay is always last and always present.
-    """
-    if not 0 <= vertex < cfg.num_vertices:
-        raise IndexError(f"vertex {vertex} out of range")
-    r, c = divmod(vertex, cfg.cols)
-    acts = []
-    if c > 0:
-        acts.append(Action.LEFT)
-    if c + 1 < cfg.cols:
-        acts.append(Action.RIGHT)
-    if r > 0:
-        acts.append(Action.UP)
-    if r + 1 < cfg.rows:
-        acts.append(Action.DOWN)
-    acts.append(Action.STAY)
-    return tuple(acts)
-
-
-def apply_leader_action(cfg: EnvConfig, leader: LeaderState, action: Action) -> LeaderState:
-    """Deterministic leader transition.
-
-    Stay keeps the vertex and raises the repelling flag; a directional move
-    goes to the corresponding grid neighbor with the flag down. Moves that
-    leave the grid, and integers outside Action, raise InvalidActionError.
-    """
-    try:
-        action = Action(action)
-    except ValueError:
-        raise InvalidActionError(f"{action} is not available at vertex {leader.vertex}") from None
-    if action is Action.STAY:
-        return LeaderState(leader.vertex, 1)
-    if action not in valid_actions(cfg, leader.vertex):
-        raise InvalidActionError(f"{action.label} is not available at vertex {leader.vertex}")
-    dr, dc = _MOVES[action]
-    r, c = divmod(leader.vertex, cfg.cols)
-    return LeaderState((r + dr) * cfg.cols + (c + dc), 0)
 
 
 class DiscretizedState(NamedTuple):
@@ -237,12 +197,21 @@ class HerdingEnv:
     def __init__(self, cfg: EnvConfig):
         self.cfg = cfg
         m = cfg.num_vertices
-        self.action_ids = tuple(tuple(int(a) for a in valid_actions(cfg, v)) for v in range(m))
-        self.moves = tuple(
-            {a: apply_leader_action(cfg, LeaderState(v, 0), a) for a in acts}
-            for v, acts in enumerate(self.action_ids)
-        )
-        # Every move but Stay lands on a neighbor with the flag down.
+        # The leader's transition: each move of _MOVES that stays on the grid
+        # lands on that neighbor with the flag down; Stay, always last, raises
+        # the flag in place.
+        moves = []
+        for v in range(m):
+            r, c = divmod(v, cfg.cols)
+            row = {
+                int(a): LeaderState((r + dr) * cfg.cols + c + dc, 0)
+                for a, (dr, dc) in _MOVES.items()
+                if 0 <= r + dr < cfg.rows and 0 <= c + dc < cfg.cols
+            }
+            row[int(Action.STAY)] = LeaderState(v, 1)
+            moves.append(row)
+        self.moves = tuple(moves)
+        self.action_ids = tuple(tuple(row) for row in self.moves)
         self.neighbors = tuple(
             tuple(sorted(u for u, flag in row.values() if not flag)) for row in self.moves
         )

@@ -9,10 +9,6 @@ class ConfigError(SwarmHerdError, ValueError):
     """Invalid configuration value or malformed config file."""
 
 
-class InvalidActionError(SwarmHerdError, ValueError):
-    """Leader action not available at the current vertex."""
-
-
 class EncodingError(SwarmHerdError, ValueError):
     """Discretized-state component out of range for the encoder."""
 

@@ -174,7 +174,6 @@ def check_compatible(table: QTable, env_cfg: EnvConfig) -> None:
         table.rows != env_cfg.rows
         or table.cols != env_cfg.cols
         or table.bins != env_cfg.bins
-        or table.num_vertices != env_cfg.num_vertices
         or table.num_actions != NUM_ACTIONS
     ):
         raise CompatibilityError(

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .environment import NUM_ACTIONS, Action, num_states
+from .environment import NUM_ACTIONS, num_states
 from .errors import (
     ConfigError,
     QTableDimensionError,
@@ -58,7 +58,6 @@ class QTable:
 
     store: dict[int, list[float]]
     bins: int
-    num_vertices: int
     num_actions: int
     rows: int
     cols: int
@@ -71,8 +70,7 @@ class QTable:
     def zeros(cls, bins: int, rows: int, cols: int, actions: int = NUM_ACTIONS) -> "QTable":
         """Empty table (every entry reads 0); ConfigError when its file would
         exceed MAX_TABLE_BYTES."""
-        m = rows * cols
-        nbytes = num_states(bins, m) * actions * 8
+        nbytes = num_states(bins, rows * cols) * actions * 8
         if nbytes > MAX_TABLE_BYTES:
             # Integer arithmetic only: a large grid's size overflows a float
             # and has too many digits to print.
@@ -84,7 +82,11 @@ class QTable:
                 f"a {rows}x{cols} table at {bins} bins needs {size}, "
                 f"above the {MAX_TABLE_BYTES >> 30} GiB limit"
             )
-        return cls(store={}, bins=bins, num_vertices=m, num_actions=actions, rows=rows, cols=cols)
+        return cls(store={}, bins=bins, num_actions=actions, rows=rows, cols=cols)
+
+    @property
+    def num_vertices(self) -> int:
+        return self.rows * self.cols
 
     @property
     def state_count(self) -> int:
@@ -136,11 +138,11 @@ class LearnerConfig:
         return self.epsilon + (self.epsilon_final - self.epsilon) * frac
 
 
-def greedy_action_index(q: QTable, state_index: int, valid: Sequence[Action]) -> Action:
+def greedy_action_index(q: QTable, state_index: int, valid: Sequence[int]) -> int:
     """Argmax over the valid actions, ties to the lowest canonical action index.
 
-    ``valid`` must be in canonical order, as produced by ``valid_actions``;
-    plain ints (``HerdingEnv.action_ids``) return an int.
+    ``valid`` must be in canonical order, as a row of ``HerdingEnv.action_ids``
+    is; the result is an element of ``valid``.
     """
     row = q.store.get(state_index, q.zero)
     best = valid[0]
@@ -171,11 +173,11 @@ def td_update(q: QTable, s: int, a: int, target: float, alpha: float) -> None:
 def select_action_index(
     q: QTable,
     state_index: int,
-    valid: Sequence[Action],
+    valid: Sequence[int],
     epsilon: float,
     rng: np.random.Generator,
     greedy: int | None = None,
-) -> Action:
+) -> int:
     """ε-greedy selection over the valid actions at a state.
 
     Draws X uniform on [0, 1) first: above epsilon it exploits (greedy with
@@ -294,6 +296,4 @@ def load_qtable(source) -> QTable:
             store.update(zip((kept + lo).tolist(), chunk[kept].tolist()))
         if fh.read(1):
             raise QTableDimensionError("trailing bytes after the payload")
-    return QTable(
-        store=store, bins=bins, num_vertices=m, num_actions=actions, rows=rows, cols=cols
-    )
+    return QTable(store=store, bins=bins, num_actions=actions, rows=rows, cols=cols)

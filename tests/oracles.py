@@ -5,18 +5,18 @@ builds one routing matrix per edge and sums them, the policy oracle runs
 exhaustive value iteration over every encoded state instead of
 temporal-difference learning, and the step, state, selection and TD
 references below spell out on numpy arrays what the training, evaluation
-and simulate loops do on plain values. Neighbors come from grid
-coordinates and repel shares from ``beta``. None of them calls the loop
-kernels (``HerdingEnv.repel``/``score`` and the ``dynamics`` functions
-under them, ``td_update``, ``greedy_action_index``),
-so a fault there shows as a mismatch.
+and simulate loops do on plain values. Neighbors and the leader's moves
+come from grid coordinates and repel shares from ``beta``. None of them
+calls the loop kernels (``HerdingEnv.moves``, ``HerdingEnv.repel``/``score``
+and the ``dynamics`` functions under them, ``td_update``,
+``greedy_action_index``), so a fault there shows as a mismatch.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from swarmherd import HerdingEnv, LeaderState, apply_leader_action, valid_actions
+from swarmherd import Action, HerdingEnv, LeaderState
 from swarmherd.environment import (
     DiscretizedState,
     decode_state,
@@ -66,6 +66,28 @@ def grid_neighbors(rows: int, cols: int, v: int) -> list[int]:
     return [u for u in range(rows * cols) if abs(u // cols - r) + abs(u % cols - c) == 1]
 
 
+# The (row, column) step of Left, Right, Up and Down, at their Action values.
+DIRECTIONS = ((0, -1), (0, 1), (-1, 0), (1, 0))
+
+
+def leader_moves(rows: int, cols: int, v: int) -> dict[Action, LeaderState]:
+    """The leader's state after each action available at v, in canonical order.
+
+    A direction is available when some vertex sits one step that way from v
+    (found from coordinates, like :func:`grid_neighbors`); the leader lands on
+    it with the flag down. Stay, always last, raises the flag at v.
+    """
+    r, c = divmod(v, cols)
+    moves = {
+        Action(a): LeaderState(u, 0)
+        for a, step in enumerate(DIRECTIONS)
+        for u in range(rows * cols)
+        if (u // cols - r, u % cols - c) == step
+    }
+    moves[Action.STAY] = LeaderState(v, 1)
+    return moves
+
+
 def edge_shares(beta: float, degree: int) -> np.ndarray:
     """Share of a repelled vertex's mass per outgoing edge, then the share that
     stays; the stay share subtracts the edge shares one by one."""
@@ -95,12 +117,13 @@ def follower_step(env: HerdingEnv, followers, leader: LeaderState, rng) -> np.nd
 
 
 def reference_step(env: HerdingEnv, followers, leader: LeaderState, action, rng):
-    """One iteration: the leader acts, then the followers react (:func:`follower_step`).
+    """One iteration: the leader acts (:func:`leader_moves`), then the
+    followers react (:func:`follower_step`).
 
     Returns (followers', leader', reward, terminal); ``rng`` is drawn from
     only when the leader repels.
     """
-    leader = apply_leader_action(env.cfg, leader, action)
+    leader = leader_moves(env.cfg.rows, env.cfg.cols, leader.vertex)[action]
     followers = follower_step(env, followers, leader, rng)
     dist = observe(env, followers)
     target = env.cfg.target_dist
@@ -205,8 +228,7 @@ class PolicyOracle:
             if self.terminal[idx]:
                 continue
             moves = {}
-            for action in valid_actions(cfg, ds.leader_vertex):
-                leader = apply_leader_action(cfg, LeaderState(ds.leader_vertex, 0), action)
+            for action, leader in leader_moves(cfg.rows, cfg.cols, ds.leader_vertex).items():
                 next_density = follower_step(env, density, leader, None)
                 next_idx = self._encode(next_density, leader.vertex)
                 moves[action] = (
@@ -238,12 +260,10 @@ class PolicyOracle:
         raise RuntimeError("value iteration did not converge")
 
     def _best_action(self, idx):
-        ds = decode_state(idx, self.bins, self.m)
         best_action, best_value = None, None
         # Iterate in canonical action order so ties break exactly like the
         # learner's greedy selection.
-        for action in valid_actions(self.env.cfg, ds.leader_vertex):
-            nxt, r, term = self.transitions[idx][action]
+        for action, (nxt, r, term) in self.transitions[idx].items():
             value = r + (0.0 if term else self.gamma * self.values[nxt])
             if best_value is None or value > best_value + 1e-12:
                 best_action, best_value = action, value

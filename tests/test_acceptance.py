@@ -24,7 +24,6 @@ from swarmherd import (
     evaluate,
     largest_remainder_counts,
     train,
-    valid_actions,
 )
 from swarmherd.cli import main
 from swarmherd.environment import decode_state, encode_state, num_states
@@ -153,7 +152,8 @@ def test_criterion_03_dtmc_converges_to_mean_field():
 
 def test_criterion_04_small_instance_optimality():
     env_cfg = smoke_env(backend="mean-field")
-    oracle = PolicyOracle(HerdingEnv(env_cfg), gamma=0.9)
+    env = HerdingEnv(env_cfg)
+    oracle = PolicyOracle(env, gamma=0.9)
     reachable = sorted(oracle.reachable_nonterminal())
     assert reachable, "oracle found no comparable states"
     mismatches = []
@@ -168,7 +168,7 @@ def test_criterion_04_small_instance_optimality():
         table = train(cfg).table
         for idx in reachable:
             ds = decode_state(idx, env_cfg.bins, env_cfg.num_vertices)
-            learned = greedy_action_index(table, idx, valid_actions(env_cfg, ds.leader_vertex))
+            learned = Action(greedy_action_index(table, idx, env.action_ids[ds.leader_vertex]))
             if learned is not oracle.policy[idx]:
                 mismatches.append((algorithm, ds, oracle.policy[idx].name, learned.name))
     ok = not mismatches

@@ -14,11 +14,28 @@ from helpers import headline_env
 
 # The ndarray step, encode and TD layer the loop kernels replaced, the
 # graph module whose grid EnvConfig and HerdingEnv.neighbors now spell, the
-# rate type and step wrappers that HerdingEnv.repel replaced, and the masked
-# max that the Q-Learning target's greedy_action_index replaced.
+# rate type and step wrappers that HerdingEnv.repel replaced, the masked
+# max that the Q-Learning target's greedy_action_index replaced, and the
+# leader transition functions whose table HerdingEnv.moves now builds itself.
 RETIRED = {
-    swarmherd: ("graph", "Graph", "make_grid", "max_action_value"),
-    environment: ("reward", "mse", "discretize", "Graph", "make_grid"),
+    swarmherd: (
+        "graph",
+        "Graph",
+        "make_grid",
+        "max_action_value",
+        "valid_actions",
+        "apply_leader_action",
+        "InvalidActionError",
+    ),
+    environment: (
+        "reward",
+        "mse",
+        "discretize",
+        "Graph",
+        "make_grid",
+        "valid_actions",
+        "apply_leader_action",
+    ),
     learner: ("q_lookup", "select_action", "update_sarsa", "update_qlearning", "max_action_value"),
     HerdingEnv: ("step", "observe", "state_index", "mse_to_target"),
     HerdingEnv(headline_env()): ("rates", "graph", "initial", "target", "actions"),
@@ -30,7 +47,7 @@ RETIRED = {
         "assert_simplex",
         "mean_field_step",
     ),
-    errors: ("EmptySwarmError", "InvalidRatesError", "SimplexError"),
+    errors: ("EmptySwarmError", "InvalidRatesError", "SimplexError", "InvalidActionError"),
 }
 
 

@@ -662,6 +662,55 @@ def test_sweep_resume_skips_done_cells_and_matches_bytes(tmp_path, sweep_config)
     assert (resumed / "demo_runs.csv").read_bytes() == (full / "demo_runs.csv").read_bytes()
 
 
+def _count_evaluations(monkeypatch) -> list:
+    """Record the seed of every evaluate() call a sweep makes, one per cell."""
+    import swarmherd.harness
+
+    evaluated = []
+    real_evaluate = swarmherd.harness.evaluate
+
+    def counting_evaluate(*args, **kwargs):
+        evaluated.append(kwargs["seed"])
+        return real_evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(swarmherd.harness, "evaluate", counting_evaluate)
+    return evaluated
+
+
+@pytest.mark.parametrize("kept_lines, computed", [
+    (0, 2),  # the runs file is gone
+    (3, 2),  # cut inside cell 0's five runs
+    (7, 1),  # cell 0 whole, cell 1 cut after two runs
+])
+def test_sweep_resume_recomputes_cells_whose_runs_are_missing(tmp_path, sweep_config, monkeypatch,
+                                                             kept_lines, computed):
+    full = tmp_path / "full"
+    assert main(["sweep", "--config", sweep_config, "--out-dir", str(full)]) == 0
+    resumed = tmp_path / "resumed"
+    assert main(["sweep", "--config", sweep_config, "--out-dir", str(resumed)]) == 0
+    runs_path = resumed / "demo_runs.csv"
+    if kept_lines:
+        runs_path.write_text("\n".join(runs_path.read_text().splitlines()[:1 + kept_lines]) + "\n")
+    else:
+        runs_path.unlink()
+    evaluated = _count_evaluations(monkeypatch)
+    assert main(["sweep", "--config", sweep_config, "--out-dir", str(resumed), "--resume"]) == 0
+    assert len(evaluated) == computed
+    for name in ("demo_aggregate.csv", "demo_runs.csv"):
+        assert (resumed / name).read_bytes() == (full / name).read_bytes(), name
+
+
+def test_sweep_resume_with_every_cell_done_still_rejects_bad_jobs(tmp_path, sweep_config, capsys):
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", sweep_config, "--out-dir", str(out)]) == 0
+    written = {p.name: p.read_bytes() for p in out.iterdir()}
+    for jobs in ("0", "-1"):
+        sweep = ["sweep", "--config", sweep_config, "--out-dir", str(out), "--resume"]
+        assert main(sweep + ["--jobs", jobs]) == 2
+        assert "jobs" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == written
+
+
 def test_sweep_backend_flag_matches_env_var(tmp_path, sweep_config, monkeypatch):
     flagged, dtmc, via_env = tmp_path / "flagged", tmp_path / "dtmc", tmp_path / "env"
     assert main(["sweep", "--config", sweep_config, "--out-dir", str(flagged),
@@ -777,16 +826,7 @@ def test_sweep_rejects_bad_evaluation_inputs_before_training(tmp_path, monkeypat
 
 
 def test_sweep_resume_after_grid_edits_matches_fresh_run(tmp_path, monkeypatch):
-    import swarmherd.harness
-
-    evaluated = []
-    real_evaluate = swarmherd.harness.evaluate
-
-    def counting_evaluate(*args, **kwargs):
-        evaluated.append(kwargs["seed"])
-        return real_evaluate(*args, **kwargs)
-
-    monkeypatch.setattr(swarmherd.harness, "evaluate", counting_evaluate)
+    evaluated = _count_evaluations(monkeypatch)
     resumed = tmp_path / "resumed"
     config = tmp_path / "sweep.ini"
     config.write_text(SWEEP_CONFIG)

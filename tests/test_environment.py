@@ -9,16 +9,14 @@ from swarmherd import (
     EnvConfig,
     HerdingEnv,
     LeaderState,
-    apply_leader_action,
     decode_state,
     encode_state,
     largest_remainder_counts,
     num_states,
-    valid_actions,
 )
 from swarmherd import environment
 from swarmherd.environment import trace_header, trace_row
-from swarmherd.errors import ConfigError, EncodingError, InvalidActionError
+from swarmherd.errors import ConfigError, EncodingError
 
 import oracles
 from helpers import (
@@ -36,41 +34,55 @@ def grid():
     return grid_env(2, 2)
 
 
-# --- actions -----------------------------------------------------------------
+# --- actions: HerdingEnv.action_ids and HerdingEnv.moves -------------------------
 
 def test_valid_actions_corners(grid):
-    assert valid_actions(grid, 0) == (Action.RIGHT, Action.DOWN, Action.STAY)
-    assert valid_actions(grid, 3) == (Action.LEFT, Action.UP, Action.STAY)
+    env = HerdingEnv(grid)
+    assert env.action_ids[0] == (Action.RIGHT, Action.DOWN, Action.STAY)
+    assert env.action_ids[3] == (Action.LEFT, Action.UP, Action.STAY)
 
 
 def test_valid_actions_1x2():
-    assert valid_actions(grid_env(1, 2), 0) == (Action.RIGHT, Action.STAY)
+    assert HerdingEnv(grid_env(1, 2)).action_ids[0] == (Action.RIGHT, Action.STAY)
 
 
 def test_valid_actions_center_has_all_five():
-    assert valid_actions(grid_env(3, 3), 4) == tuple(Action)
+    assert HerdingEnv(grid_env(3, 3)).action_ids[4] == tuple(Action)
 
 
 def test_valid_actions_cardinality(grid):
-    neighbors = HerdingEnv(grid).neighbors
+    env = HerdingEnv(grid)
     for v in range(4):
-        acts = valid_actions(grid, v)
+        acts = env.action_ids[v]
         assert Action.STAY in acts
-        assert len(acts) == 1 + len(neighbors[v])
+        assert len(acts) == 1 + len(env.neighbors[v])
 
 
 def test_apply_stay_raises_flag(grid):
-    assert apply_leader_action(grid, LeaderState(0, 0), Action.STAY) == LeaderState(0, 1)
+    assert HerdingEnv(grid).moves[0][Action.STAY] == LeaderState(0, 1)
 
 
 def test_apply_move_drops_flag(grid):
-    assert apply_leader_action(grid, LeaderState(0, 1), Action.RIGHT) == LeaderState(1, 0)
-    assert apply_leader_action(grid, LeaderState(3, 0), Action.UP) == LeaderState(1, 0)
+    moves = HerdingEnv(grid).moves
+    assert moves[0][Action.RIGHT] == LeaderState(1, 0)
+    assert moves[3][Action.UP] == LeaderState(1, 0)
 
 
 def test_apply_invalid_move_raises(grid):
-    with pytest.raises(InvalidActionError):
-        apply_leader_action(grid, LeaderState(3, 0), Action.RIGHT)
+    with pytest.raises(KeyError):
+        HerdingEnv(grid).moves[3][Action.RIGHT]
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 2), (2, 2), (2, 3), (3, 3), (1, 5), (5, 4)])
+def test_move_tables_match_the_coordinate_oracle(rows, cols):
+    env = HerdingEnv(grid_env(rows, cols))
+    vertices = range(rows * cols)
+    expected = tuple(oracles.leader_moves(rows, cols, v) for v in vertices)
+    assert env.moves == expected
+    assert env.action_ids == tuple(tuple(row) for row in expected)
+    assert env.neighbors == tuple(tuple(oracles.grid_neighbors(rows, cols, v)) for v in vertices)
+    # Plain ints, as the loops index the table rows with them.
+    assert all(type(a) is int for row in env.action_ids for a in row)
 
 
 # --- reward, mse and discretization, read through HerdingEnv.score ------------
@@ -310,16 +322,14 @@ def test_env_step_invalid_action():
     assert tuple(env.moves[1]) == env.action_ids[1] == (Action.LEFT, Action.DOWN, Action.STAY)
     with pytest.raises(KeyError):
         env.moves[1][Action.RIGHT]
-    with pytest.raises(InvalidActionError):
-        apply_leader_action(env.cfg, LeaderState(1, 0), Action.RIGHT)
 
 
 @pytest.mark.parametrize("action", [1, 7, -1])
 def test_env_step_rejects_bad_action_ints(action):
     env = HerdingEnv(headline_env())
     assert action not in env.moves[1]
-    with pytest.raises(InvalidActionError, match="is not available at vertex 1"):
-        apply_leader_action(env.cfg, LeaderState(1, 0), action)
+    with pytest.raises(KeyError):
+        env.moves[1][action]
 
 
 def test_mean_field_replay_is_bitwise_identical():

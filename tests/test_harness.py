@@ -15,7 +15,6 @@ from swarmherd import (
     evaluate,
     sweep,
     train,
-    valid_actions,
 )
 from swarmherd.environment import BACKENDS, NUM_ACTIONS, decode_state, num_states
 from swarmherd.errors import CompatibilityError, ConfigError
@@ -44,8 +43,8 @@ def test_smoke_training_is_fast_and_herds():
     env = HerdingEnv(cfg.env)
     _, code = env.score([10, 0])
     full_idx, away_idx = 0 + 2 * code, 1 + 2 * code
-    assert greedy_action_index(result.table, full_idx, valid_actions(cfg.env, 0)) is Action.STAY
-    assert greedy_action_index(result.table, away_idx, valid_actions(cfg.env, 1)) is Action.LEFT
+    assert Action(greedy_action_index(result.table, full_idx, env.action_ids[0])) is Action.STAY
+    assert Action(greedy_action_index(result.table, away_idx, env.action_ids[1])) is Action.LEFT
 
 
 def test_training_is_deterministic_per_seed():
@@ -305,5 +304,5 @@ def test_smoke_policy_matches_value_iteration_oracle():
     env = HerdingEnv(mean_field)
     for idx in sorted(reachable):
         ds = decode_state(idx, mean_field.bins, mean_field.num_vertices)
-        got = greedy_action_index(result.table, idx, valid_actions(mean_field, ds.leader_vertex))
+        got = Action(greedy_action_index(result.table, idx, env.action_ids[ds.leader_vertex]))
         assert got is oracle.policy[idx], f"state {ds}: {got} != {oracle.policy[idx]}"

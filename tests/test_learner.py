@@ -231,6 +231,22 @@ def test_save_load_roundtrip(tmp_path):
     assert '"algorithm": "sarsa"' in sidecar
 
 
+def test_num_vertices_is_the_grid_size_not_a_field(tmp_path):
+    import json
+    import struct
+
+    q = QTable.zeros(bins=1, rows=2, cols=3)
+    assert q.num_vertices == 6
+    with pytest.raises(TypeError):
+        QTable(store={}, bins=1, num_vertices=6, num_actions=5, rows=2, cols=3)
+    path = tmp_path / "grid.swhq"
+    save_qtable(q, path)
+    # The header and the sidecar still carry M.
+    assert struct.unpack_from("<I", path.read_bytes(), 8) == (6,)
+    assert json.loads((tmp_path / "grid.swhq.meta.json").read_text())["num_vertices"] == 6
+    assert load_qtable(path).num_vertices == 6
+
+
 def test_file_layout_is_state_major_action_minor(tmp_path):
     import struct
 
