@@ -279,20 +279,20 @@ class HerdingEnv:
         The reward is ``-sq`` and the episode is terminal once ``sq / M < mu``;
         ``v + M * code`` is the table index with the leader at v: the
         :func:`encode_state` of the fractions rounded half away from zero to
-        ``bins`` steps, clipped to ``bins``. ``sq`` goes through
-        ``np.dot``: its summation order sets the low bits of every reward.
+        ``bins`` steps, clipped to ``bins``. ``sq`` is ``((d0*d0 + d1*d1) +
+        d2*d2) + ...`` from 0.0: IEEE-754 doubles alone set its bits, not BLAS.
         """
         n = self._scale
         bins = self.cfg.bins
-        diff = []
+        sq = 0.0
         code = 0
         for y, t, weight in zip(followers, self.cfg.target_dist, self._radix_weights):
             x = y / n
-            diff.append(x - t)
+            d = x - t
+            sq += d * d
             f = int(bins * x + 0.5)
             code += (f if f < bins else bins) * weight
-        d = np.array(diff)
-        return float(np.dot(d, d)), code
+        return sq, code
 
 
 def format_float(x: float) -> str:

@@ -6,13 +6,17 @@ exhaustive value iteration over every encoded state instead of
 temporal-difference learning, and the step, state, selection and TD
 references below spell out on numpy arrays what the training, evaluation
 and simulate loops do on plain values. Neighbors and the leader's moves
-come from grid coordinates and repel shares from ``beta``. None of them
+come from grid coordinates and repel shares from ``beta``; ``reward``
+adds the squared errors in the library's fixed left-to-right order, with
+its own ``functools.reduce``, so the two agree to the bit. None of them
 calls the loop kernels (``HerdingEnv.moves``, ``HerdingEnv.repel``/``score``
 and the ``dynamics`` functions under them, ``td_update``,
 ``greedy_action_index``), so a fault there shows as a mismatch.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -28,16 +32,16 @@ from swarmherd.environment import (
 def reward(current, target) -> float:
     """Negative squared Euclidean distance between two distributions.
 
-    ``np.dot`` like the library, whose summation order sets the low bits.
+    The squares are added left to right from 0.0,
+    ``((d0*d0 + d1*d1) + d2*d2) + ...``, the order the library fixes.
     """
-    diff = np.asarray(current, dtype=np.float64) - np.asarray(target, dtype=np.float64)
-    return -float(np.dot(diff, diff))
+    diffs = (np.asarray(current, dtype=np.float64) - np.asarray(target, dtype=np.float64)).tolist()
+    return -functools.reduce(lambda acc, d: acc + d * d, diffs, 0.0)
 
 
 def mse(current, target) -> float:
     """Per-vertex mean of the squared distribution error."""
-    diff = np.asarray(current, dtype=np.float64) - np.asarray(target, dtype=np.float64)
-    return float(np.dot(diff, diff)) / float(len(diff))
+    return -reward(current, target) / len(target)
 
 
 def discretize(density, bins: int) -> np.ndarray:

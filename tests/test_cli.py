@@ -1,9 +1,14 @@
+import configparser
 import json
 import math
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmherd import (
     Action,
@@ -943,3 +948,59 @@ def test_inspect_prints_non_finite_stats(tmp_path, capsys, row, expected):
 
 def test_inspect_missing_file_is_io_error(tmp_path):
     assert main(["inspect", str(tmp_path / "missing.swhq")]) == 3
+
+
+# --- exit-code contract -------------------------------------------------------------
+
+# Budgets that keep every command of the smoke task tiny; the overrides below
+# are written over them.
+TINY_BUDGETS = {
+    "env": {"max_iterations": "20"},
+    "train": {"episodes": "5", "max_iters": "20"},
+    "sweep": {"runs": "3", "eval_max_iters": "20"},
+}
+# Raw values for any key: edge cases, and valid ones that reach further in.
+RAW_VALUES = ("nan", "inf", "-1", "0", "1", "2", "0.5", "1e308", "", "0.5, 0.5", "true",
+              "sarsa", "mean-field")
+# Every key SCHEMA knows, so a new key is covered without an edit here.
+OVERRIDES = st.dictionaries(
+    st.sampled_from([(section, key) for section in SCHEMA for key in SCHEMA[section]]),
+    st.sampled_from(RAW_VALUES), max_size=2,
+)
+COMMANDS = (
+    ["train"],
+    ["evaluate", "{table}", "--runs", "3", "--eval-max-iters", "20"],
+    ["simulate", "{table}"],
+    ["sweep"],
+)
+
+
+def write_tiny_config(path: Path, overrides: dict) -> str:
+    """SMOKE_CONFIG with TINY_BUDGETS, then ``{(section, key): raw}`` over it."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(SMOKE_CONFIG)
+    parser.read_dict(TINY_BUDGETS)
+    for (section, key), raw in overrides.items():
+        parser.read_dict({section: {key: raw}})
+    with open(path, "w") as f:
+        parser.write(f)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def tiny_table(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny")
+    config = write_tiny_config(out / "tiny.ini", {})
+    assert main(["train", "--config", config, "--out-dir", str(out)]) == 0
+    return str(out / "qtable.swhq")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(overrides=OVERRIDES, command=st.sampled_from(COMMANDS))
+def test_every_config_exits_with_a_contract_code(tiny_table, overrides, command):
+    """Whatever a config holds, ``main`` returns 0, 2 (config), 3 (io) or 4
+    (compatibility) and lets no exception escape."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = write_tiny_config(Path(tmp, "case.ini"), overrides)
+        argv = [arg.format(table=tiny_table) for arg in command]
+        assert main([*argv, "--config", config, "--out-dir", tmp]) in (0, 2, 3, 4)

@@ -140,6 +140,17 @@ def test_reward_is_minus_m_times_mse():
             assert abs(r + m * e) < 1e-12
 
 
+def test_score_adds_the_squares_left_to_right():
+    """On these headline counts the left-to-right sum differs in its last bit
+    from the reversed sum, from ``math.fsum`` and from ``np.dot`` under
+    OpenBLAS's SkylakeX kernel."""
+    counts = [0, 0, 4, 96]
+    d0, d1, d2, d3 = (c / 100 - t for c, t in zip(counts, HEADLINE_TARGET))
+    left_to_right = ((d0 * d0 + d1 * d1) + d2 * d2) + d3 * d3
+    assert left_to_right != ((d3 * d3 + d2 * d2) + d1 * d1) + d0 * d0
+    assert HerdingEnv(headline_env()).score(counts)[0].hex() == left_to_right.hex()
+
+
 def test_discretize_examples():
     assert discretized([0.24, 0.76], 10) == [2, 8]
     assert discretized([0.0, 1.0], 10) == [0, 10]

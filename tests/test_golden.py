@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -61,6 +62,21 @@ eval_max_iters = 200
 episodes = 40
 """
 
+# Two training groups on the default 2x2 task, where the training seed sets the
+# policy; on the 1x2 smoke task every seed trains the same one, so SWEEP alone
+# passes with one seed shared by all groups.
+SWEEP_GROUPS = """\
+[train]
+seed = 11
+
+[sweep]
+betas = 0.05, 0.1
+n_test = 100
+runs = 20
+eval_max_iters = 200
+episodes = 200
+"""
+
 MEAN_FIELD = """\
 [env]
 backend = mean-field
@@ -87,6 +103,7 @@ CASES = {
         for alg in ("qlearning", "sarsa")
     },
     **{f"sweep-jobs{jobs}": (SWEEP, (["sweep", "--jobs", str(jobs)],)) for jobs in (1, 2)},
+    "sweep-groups": (SWEEP_GROUPS, (["sweep"],)),
     **{
         f"meanfield-{alg}": (MEAN_FIELD.format(algorithm=alg), TRAIN_EVAL_SIMULATE)
         for alg in ("qlearning", "sarsa")
@@ -133,6 +150,41 @@ def clean_environment(monkeypatch):
 def test_cli_data_files_match_golden_digests(name, tmp_path, clean_environment):
     expected = json.loads(DIGESTS.read_text())[name]
     assert run_case(name, tmp_path) == expected
+
+
+# Digests of the named cases, written as JSON to the file given first.
+_CHILD = """\
+import json, sys, tempfile
+from pathlib import Path
+from test_golden import run_case
+digests = {}
+for name in sys.argv[2:]:
+    with tempfile.TemporaryDirectory() as tmp:
+        digests[name] = run_case(name, Path(tmp))
+Path(sys.argv[1]).write_text(json.dumps(digests))
+"""
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_golden_bytes_do_not_depend_on_the_blas_kernel(coretype, tmp_path, clean_environment):
+    """The mean-field cases give the golden bytes under another OpenBLAS kernel.
+
+    OpenBLAS picks its kernels for the CPU when it loads, so the variable is
+    set in a fresh interpreter before numpy is imported. Under either kernel
+    a ``np.dot`` squared error gives both cases other bytes than under the
+    SkylakeX kernel. A BLAS build that ignores ``OPENBLAS_CORETYPE`` makes
+    this test pass trivially.
+    """
+    names = ["meanfield-qlearning", "meanfield-sarsa"]
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype,
+               PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
+    out = tmp_path / "digests.json"
+    done = subprocess.run([sys.executable, "-c", _CHILD, str(out), *names], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    expected = json.loads(DIGESTS.read_text())
+    assert json.loads(out.read_text()) == {name: expected[name] for name in names}
 
 
 if __name__ == "__main__":

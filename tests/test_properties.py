@@ -47,9 +47,9 @@ def _simplex(draw, m: int) -> tuple[float, ...]:
 
 
 @st.composite
-def env_configs(draw) -> EnvConfig:
-    """Grids from 1x2 to 2x3, either backend, any valid rate."""
-    rows = draw(st.integers(1, 2))
+def env_configs(draw, max_rows: int = 2) -> EnvConfig:
+    """Grids from 1x2 to max_rows x 3, either backend, any valid rate."""
+    rows = draw(st.integers(1, max_rows))
     cols = draw(st.integers(2 if rows == 1 else 1, 3))
     m = rows * cols
     max_degree = min(2, rows - 1) + min(2, cols - 1)
@@ -134,6 +134,23 @@ def test_state_index_matches_encode_of_discretize(cfg, data):
     vertex = data.draw(st.integers(0, cfg.num_vertices - 1))
     _, code = env.score(followers.tolist())
     assert vertex + cfg.num_vertices * code == oracles.state_index(env, followers, vertex)
+
+
+@SETTINGS
+@given(cfg=env_configs(max_rows=3), data=st.data())
+def test_score_is_the_oracle_left_to_right_sum(cfg, data):
+    """``sq`` equals the oracle's fixed-order sum to the bit, on counts that
+    sum to N and on arbitrary densities."""
+    env = HerdingEnv(cfg)
+    m, n = cfg.num_vertices, cfg.num_agents
+    if cfg.backend == "dtmc":
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), min_size=m - 1, max_size=m - 1)))
+        followers = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+    else:
+        weights = data.draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m).filter(any))
+        followers = [w / sum(weights) for w in weights]
+    sq, _ = env.score(followers)
+    assert (-sq).hex() == oracles.reward(oracles.observe(env, followers), cfg.target_dist).hex()
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
