@@ -40,6 +40,8 @@ from .environment import (
 )
 from .errors import CompatibilityError, ConfigError
 from .harness import (
+    EvalAggregate,
+    RunRecord,
     SweepCell,
     TrainConfig,
     check_compatible,
@@ -421,7 +423,8 @@ def cmd_simulate(args) -> int:
     followers, v = env.reset(rng)
     leader = LeaderState(v, 0)
     m = env_cfg.num_vertices
-    # The step of evaluate(): only a repel step moves the followers and rescores them.
+    # Only a repel step moves the followers and rescores them. Every iteration is
+    # stepped, frozen or not: each writes a trace row.
     sq, code = env.reset_score
     terminal = sq / m < env_cfg.mu
     lines = [trace_header(env_cfg), trace_row(0, leader, None, followers, -sq, sq / m, terminal)]
@@ -484,6 +487,28 @@ def _resumed_lines(path: Path) -> list[str]:
         raise ConfigError(f"cannot resume: {path} is not UTF-8 text: {exc}") from None
 
 
+def _resumed_cell(line: str) -> int:
+    """The cell of a runs line; ValueError unless the line reads back as
+    :func:`_run_line` writes it."""
+    cell, run, converged, iterations, final_mse, seed = line.split(",")
+    cell = int(cell)
+    record = RunRecord(int(run), converged == "true", int(iterations), float(final_mse), int(seed))
+    if _run_line(cell, record) != line:
+        raise ValueError(line)
+    return cell
+
+
+def _check_resumed_row(line: str) -> None:
+    """ValueError unless an aggregate row reads back as :func:`_aggregate_line` writes it."""
+    key, mean, std, rate, runs = line.rsplit(",", 4)
+    if _aggregate_line(key, EvalAggregate(float(mean), float(std), float(rate), int(runs))) != line:
+        raise ValueError(line)
+
+
+def _malformed(number: int, path: Path, line: str) -> ConfigError:
+    return ConfigError(f"cannot resume: line {number} of {path} is malformed: {line!r}")
+
+
 def cmd_sweep(args) -> int:
     # Checked first: a resume with every cell done never reaches sweep().
     if args.jobs < 1:
@@ -506,17 +531,18 @@ def cmd_sweep(args) -> int:
         if runs_path.exists():
             for number, line in enumerate(_resumed_lines(runs_path), start=2):
                 try:
-                    cell = int(line.split(",", 1)[0])
+                    runs_of.setdefault(_resumed_cell(line), []).append(line)
                 except ValueError:
-                    raise ConfigError(
-                        f"cannot resume: line {number} of {runs_path} is malformed: {line!r}"
-                    ) from None
-                runs_of.setdefault(cell, []).append(line)
+                    raise _malformed(number, runs_path, line) from None
         # Keep the leading rows that match the grid's first cells and hold all their
         # runs: with seeds drawn from grid positions, a fresh run rewrites those rows.
         for cell, (key, line) in enumerate(zip(keys, _resumed_lines(agg_path))):
             if line.rsplit(",", 4)[0] != key or len(runs_of.get(cell, ())) != sw["runs"]:
                 break
+            try:
+                _check_resumed_row(line)
+            except ValueError:
+                raise _malformed(cell + 2, agg_path, line) from None
             kept_rows.append(line)
             kept_runs += runs_of[cell]
     pending = cells[len(kept_rows):]

@@ -1,6 +1,7 @@
 import configparser
 import json
 import math
+import shutil
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -768,6 +769,53 @@ def test_sweep_resume_refuses_other_settings(tmp_path, sweep_config, capsys):
     runs.write_text(runs.read_text() + "garbage\n")
     assert main(sweep + ["--resume"]) == 2
     assert "garbage" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def finished_sweep(tmp_path_factory):
+    """The outputs of the two-cell sweep of SWEEP_CONFIG, with its config file."""
+    out = tmp_path_factory.mktemp("finished_sweep")
+    (out / "sweep.ini").write_text(SWEEP_CONFIG)
+    assert main(["sweep", "--config", str(out / "sweep.ini"), "--out-dir", str(out)]) == 0
+    return out
+
+
+def _with_fields(line: str, **changes: str) -> str:
+    """``line`` with the comma-separated fields at the given positions (``f2=...``) replaced."""
+    fields = line.split(",")
+    for at, text in changes.items():
+        fields[int(at[1:])] = text
+    return ",".join(fields)
+
+
+@pytest.mark.parametrize("name, number, malform", [
+    pytest.param("demo_runs.csv", 2, lambda line: "0,0,tru", id="run-cut-short"),
+    pytest.param("demo_runs.csv", 3, lambda line: _with_fields(line, f2="tru"), id="run-converged"),
+    pytest.param("demo_runs.csv", 4, lambda line: _with_fields(line, f3="5.0"), id="run-iterations"),
+    pytest.param("demo_runs.csv", 5, lambda line: _with_fields(line, f4="mse"), id="run-final-mse"),
+    pytest.param("demo_runs.csv", 6, lambda line: _with_fields(line, f5=""), id="run-seed"),
+    pytest.param("demo_runs.csv", 7, lambda line: line + ",1", id="run-extra-field"),
+    pytest.param("demo_runs.csv", 11, lambda line: _with_fields(line, f1="1_0"), id="run-index"),
+    pytest.param("demo_aggregate.csv", 2, lambda line: line.rsplit(",", 4)[0] + ",oops,,,3",
+                 id="row-stats"),
+    pytest.param("demo_aggregate.csv", 3, lambda line: _with_fields(line, f9="5.0"), id="row-runs"),
+    pytest.param("demo_aggregate.csv", 3, lambda line: _with_fields(line, f8="1.00"),
+                 id="row-rate-spelling"),
+])
+def test_sweep_resume_refuses_malformed_lines(tmp_path, finished_sweep, capsys, name, number,
+                                              malform):
+    """A line --resume would keep must read back as the writer writes it."""
+    out = tmp_path / "sweep_out"
+    shutil.copytree(finished_sweep, out)
+    sweep = ["sweep", "--config", str(finished_sweep / "sweep.ini"), "--out-dir", str(out)]
+    lines = (out / name).read_text().splitlines()
+    lines[number - 1] = malform(lines[number - 1])
+    (out / name).write_text("\n".join(lines) + "\n")
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(sweep + ["--resume"]) == 2
+    err = capsys.readouterr().err
+    assert f"line {number} of {out / name} is malformed" in err, err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == files
 
 
 @pytest.mark.parametrize("name", ["demo_aggregate.csv", "demo_runs.csv"])

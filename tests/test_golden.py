@@ -89,6 +89,15 @@ episodes = 1000
 seed = 77
 """
 
+# The default 2x2 task, trained briefly: most evaluation runs end in a loop of
+# leader moves that moves no follower again (a frozen tail) long before the cap.
+FROZEN = """\
+[train]
+episodes = 50
+max_iters = 200
+seed = 31
+"""
+
 TABLE = "{out}/qtable.swhq"
 TRAIN_EVAL_SIMULATE = (
     ["train"],
@@ -109,6 +118,13 @@ CASES = {
         for alg in ("qlearning", "sarsa")
     },
     "headline": (None, (["train"], ["evaluate", TABLE, "--runs", "200", "--seed", "555"])),
+    # Digests taken before evaluate() recorded frozen runs at the cap without
+    # stepping them there; the mean-field case checks draws at epsilon > 0.
+    "frozen-dtmc": (FROZEN, (["train"], ["evaluate", TABLE, "--runs", "20", "--seed", "9"])),
+    "frozen-meanfield": (FROZEN, (["train"], [
+        "evaluate", TABLE, "--runs", "20", "--seed", "9", "--backend", "mean-field",
+        "--epsilon-eval", "0.002", "--eval-max-iters", "500",
+    ])),
     # Nearly every episode hits the 3-iteration cap, which pins each algorithm's
     # random-draw order at the cap.
     **{

@@ -1,8 +1,11 @@
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmherd import (
     Action,
@@ -21,7 +24,7 @@ from swarmherd.errors import CompatibilityError, ConfigError
 from swarmherd.learner import greedy_action_index
 
 import oracles
-from helpers import fill_random, headline_env, smoke_env, smoke_train
+from helpers import fill_random, headline_env, put, smoke_env, smoke_train
 from oracles import PolicyOracle
 
 
@@ -175,6 +178,79 @@ def test_evaluate_matches_step_by_step_reference(backend, epsilon):
         assert records == _reference_evaluate(table, env_cfg, **args)
         converged |= {r.converged for r in records}
     assert converged == {True, False}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    grid=st.sampled_from(["1x2", "2x2"]),
+    backend=st.sampled_from(BACKENDS),
+    noisy=st.booleans(),
+    epsilon=st.sampled_from([0.0, 0.05, 0.3]),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_evaluate_matches_the_reference_through_frozen_tails(grid, backend, noisy, epsilon, seed,
+                                                             data):
+    """A run recorded at the cap from a frozen tail gets the record of stepping there.
+
+    A zero table walks the leader through moves forever, so every run freezes;
+    at epsilon > 0 its remaining draws then fail the check, and the rewound
+    run steps on. A random table freezes some runs and repels in others.
+    """
+    env_cfg = _reference_env(grid, backend)
+    m = env_cfg.num_vertices
+    table = QTable.zeros(env_cfg.bins, env_cfg.rows, env_cfg.cols)
+    if noisy:
+        fill_random(table, seed)
+    cap = data.draw(st.one_of(st.integers(1, 300), st.sampled_from([m, m + 1, m + 2])), "cap")
+    args = dict(runs=4, eval_max_iters=cap, epsilon_eval=epsilon, seed=seed)
+    records, _ = evaluate(table, env_cfg, **args)
+    assert records == _reference_evaluate(table, env_cfg, **args)
+
+
+@pytest.mark.parametrize("cap", [4, 5, 8])
+def test_evaluate_steps_on_when_greedy_play_would_repel(cap):
+    # Greedy play always Stays: the leader idles on the empty vertex until an
+    # explore moves it onto the followers. A run idle for M+1 steps whose walk
+    # leads to such a Stay is not frozen, however few draws are left.
+    env_cfg = smoke_env()
+    table = QTable.zeros(env_cfg.bins, 1, 2)
+    for s in range(table.state_count):
+        put(table, s, Action.STAY, 1.0)
+    args = dict(runs=200, eval_max_iters=cap, epsilon_eval=0.3, seed=8)
+    records, _ = evaluate(table, env_cfg, **args)
+    assert records == _reference_evaluate(table, env_cfg, **args)
+
+
+def test_numpy_draws_match_what_the_frozen_tail_check_assumes():
+    """k uniforms drawn at once, in chunks or not, are the next k scalar draws,
+    and a multinomial split of no agents leaves the stream where it was."""
+    chunked, scalar = np.random.default_rng(11), np.random.default_rng(11)
+    draws = [*chunked.random(5).tolist(), *chunked.random(2**16).tolist(), chunked.random()]
+    assert draws == [scalar.random() for _ in range(len(draws))]
+    state = chunked.bit_generator.state
+    assert chunked.multinomial(0, np.array([0.1, 0.1, 0.8])).tolist() == [0, 0, 0]
+    assert chunked.bit_generator.state == state
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_frozen_run_at_a_huge_cap_is_recorded_in_bounded_memory(backend):
+    # A zero table only moves the leader, so the run freezes at once; checking
+    # its 10**7 remaining draws in one array would take 80 MB.
+    env_cfg = smoke_env(backend=backend)
+    table = QTable.zeros(env_cfg.bins, 1, 2)
+    cap = 10**7
+    evaluate(table, env_cfg, runs=1, eval_max_iters=10, seed=3)  # numpy's one-time setup
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        records, _ = evaluate(table, env_cfg, runs=1, eval_max_iters=cap, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - started < 10.0
+    assert peak < 2**20, peak
+    assert records == [RunRecord(0, False, cap, 1.0, derive_seed(3, 0))]
 
 
 # --- evaluation ----------------------------------------------------------------
