@@ -40,10 +40,10 @@ from .environment import (
 )
 from .errors import CompatibilityError, ConfigError
 from .harness import (
-    EvalAggregate,
     RunRecord,
     SweepCell,
     TrainConfig,
+    aggregate,
     check_compatible,
     check_evaluation_inputs,
     derive_seed,
@@ -487,22 +487,15 @@ def _resumed_lines(path: Path) -> list[str]:
         raise ConfigError(f"cannot resume: {path} is not UTF-8 text: {exc}") from None
 
 
-def _resumed_cell(line: str) -> int:
-    """The cell of a runs line; ValueError unless the line reads back as
-    :func:`_run_line` writes it."""
+def _resumed_record(line: str) -> tuple[int, RunRecord]:
+    """The cell and record of a runs line; ValueError unless the line reads
+    back as :func:`_run_line` writes it."""
     cell, run, converged, iterations, final_mse, seed = line.split(",")
     cell = int(cell)
     record = RunRecord(int(run), converged == "true", int(iterations), float(final_mse), int(seed))
     if _run_line(cell, record) != line:
         raise ValueError(line)
-    return cell
-
-
-def _check_resumed_row(line: str) -> None:
-    """ValueError unless an aggregate row reads back as :func:`_aggregate_line` writes it."""
-    key, mean, std, rate, runs = line.rsplit(",", 4)
-    if _aggregate_line(key, EvalAggregate(float(mean), float(std), float(rate), int(runs))) != line:
-        raise ValueError(line)
+    return cell, record
 
 
 def _malformed(number: int, path: Path, line: str) -> ConfigError:
@@ -510,45 +503,46 @@ def _malformed(number: int, path: Path, line: str) -> ConfigError:
 
 
 def cmd_sweep(args) -> int:
-    # Checked first: a resume with every cell done never reaches sweep().
+    # Checked before the resume: one with every cell done never reaches sweep().
     if args.jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {args.jobs}")
     cfg = load_run_config(args)
+    sw = cfg["sweep"]
+    check_evaluation_inputs(sw["runs"], sw["eval_max_iters"], sw["epsilon_eval"])
     cells = expand_sweep(cfg, cfg["train"]["seed"])
     if not cells:
         raise ConfigError("sweep grid is empty")
-    sw = cfg["sweep"]
     out = Path(args.out_dir)
     agg_path = out / f"{sw['name']}_aggregate.csv"
     runs_path = out / f"{sw['name']}_runs.csv"
     meta_path = sidecar_path(agg_path)
     settings = _sweep_settings(cfg)
     keys = [_aggregate_key(c.train.learner.algorithm, c.train.env.num_agents, c.env) for c in cells]
-    kept_rows, kept_runs = [], []
+    results = []
     if args.resume and agg_path.exists():
         _check_resumable(meta_path, settings)
-        runs_of: dict[int, list[str]] = {}
+        records_of: dict[int, list[RunRecord]] = {}
         if runs_path.exists():
             for number, line in enumerate(_resumed_lines(runs_path), start=2):
                 try:
-                    runs_of.setdefault(_resumed_cell(line), []).append(line)
+                    index, record = _resumed_record(line)
                 except ValueError:
                     raise _malformed(number, runs_path, line) from None
-        # Keep the leading rows that match the grid's first cells and hold all their
-        # runs: with seeds drawn from grid positions, a fresh run rewrites those rows.
-        for cell, (key, line) in enumerate(zip(keys, _resumed_lines(agg_path))):
-            if line.rsplit(",", 4)[0] != key or len(runs_of.get(cell, ())) != sw["runs"]:
+                records_of.setdefault(index, []).append(record)
+        # Keep the leading cells whose rows match the grid and whose runs are all
+        # there in order: seeds come from grid positions, so a fresh run would
+        # rewrite them. A kept row must be the aggregate of its cell's runs.
+        for cell, key, line in zip(cells, keys, _resumed_lines(agg_path)):
+            records = records_of.get(cell.index, [])
+            if line.rsplit(",", 4)[0] != key or [r.run for r in records] != list(range(sw["runs"])):
                 break
-            try:
-                _check_resumed_row(line)
-            except ValueError:
-                raise _malformed(cell + 2, agg_path, line) from None
-            kept_rows.append(line)
-            kept_runs += runs_of[cell]
-    pending = cells[len(kept_rows):]
-    results = []
+            agg = aggregate(records)
+            if _aggregate_line(key, agg) != line:
+                raise _malformed(cell.index + 2, agg_path, line)
+            results.append((cell, records, agg))
+    pending = cells[len(results):]
     if pending:
-        results = sweep(
+        results += sweep(
             pending,
             runs=sw["runs"],
             eval_max_iters=sw["eval_max_iters"],
@@ -556,8 +550,8 @@ def cmd_sweep(args) -> int:
             master_seed=cfg["train"]["seed"],
             jobs=args.jobs,
         )
-    agg_lines = [AGGREGATE_HEADER, *kept_rows]
-    run_lines = [RUNS_HEADER, *kept_runs]
+    agg_lines = [AGGREGATE_HEADER]
+    run_lines = [RUNS_HEADER]
     for cell, records, agg in results:
         agg_lines.append(_aggregate_line(keys[cell.index], agg))
         run_lines += [_run_line(cell.index, r) for r in records]
@@ -649,9 +643,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel training workers, at most one per training group")
     p.add_argument("--resume", action="store_true",
-                   help="keep the leading aggregate rows that match the grid's first cells "
-                        "and hold all their run records; compute the rest. Refuses (exit 2) "
-                        "unless every non-grid setting matches the saved one")
+                   help="keep the leading cells whose rows match the grid and whose runs are "
+                        "all there in order; compute the rest. Refuses (exit 2) if a kept row is "
+                        "not its runs' aggregate or a non-grid setting differs from the saved one")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("inspect", help="print a table's header and summary statistics")

@@ -197,6 +197,17 @@ def check_evaluation_inputs(runs: int, eval_max_iters: int, epsilon_eval: float)
         raise ConfigError(f"epsilon_eval={epsilon_eval} outside [0, 1]")
 
 
+def aggregate(records: Sequence[RunRecord]) -> EvalAggregate:
+    """Mean and population std of the runs' iterations, and the fraction that converged."""
+    iters = np.array([r.iterations for r in records], dtype=np.float64)
+    return EvalAggregate(
+        mean_iterations=float(iters.mean()),
+        std_iterations=float(iters.std()),
+        convergence_rate=float(np.mean([r.converged for r in records])),
+        runs=len(records),
+    )
+
+
 def _greedy_loop(table: QTable, env: HerdingEnv, followers, v: int, code: int) -> bool:
     """Whether greedy play from leader vertex v, with these followers held
     fixed, returns to a vertex before it Stays on one that holds followers."""
@@ -288,14 +299,7 @@ def evaluate(
                         iterations = eval_max_iters
                         break
         records.append(RunRecord(run, converged, iterations, sq / m, run_seed))
-    iters = np.array([r.iterations for r in records], dtype=np.float64)
-    aggregate = EvalAggregate(
-        mean_iterations=float(iters.mean()),
-        std_iterations=float(iters.std()),
-        convergence_rate=float(np.mean([r.converged for r in records])),
-        runs=runs,
-    )
-    return records, aggregate
+    return records, aggregate(records)
 
 
 def _sweep_group(args) -> list[tuple[SweepCell, list[RunRecord], EvalAggregate]]:

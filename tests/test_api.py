@@ -2,13 +2,15 @@
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import swarmherd
-from swarmherd import HerdingEnv, dynamics, environment, errors, learner
+from swarmherd import (HerdingEnv, QTable, TrainConfig, cli, dynamics, environment, errors,
+                       harness, learner)
 
 from helpers import headline_env
 
@@ -109,6 +111,19 @@ def test_every_swarmherd_name_the_benchmark_child_uses_resolves():
         owner = importlib.import_module(module)
         for part in name.split("."):
             owner = getattr(owner, part)
+
+
+def test_every_name_the_benchmark_reads_or_patches_resolves():
+    # Tier-1 does not run perfbench/test_smoke.py, so these names would break
+    # only the benchmark if retired. perfbench/tracer.py's _train_stats binds
+    # train's cfg, reads its max_iters_per_episode and the trained
+    # QTable.values; perfbench/child.py's phase clock replaces train and
+    # evaluate in swarmherd.cli and swarmherd.harness.
+    assert "cfg" in inspect.signature(harness.train).parameters
+    assert "max_iters_per_episode" in TrainConfig.__dataclass_fields__
+    assert isinstance(QTable.values, property)
+    for name in ("train", "evaluate"):
+        assert getattr(cli, name) is getattr(harness, name), name
 
 
 def test_import_leaves_the_process_pool_unloaded():

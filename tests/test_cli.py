@@ -25,6 +25,7 @@ from swarmherd import (
 from swarmherd.cli import (
     DEFAULTS,
     SCHEMA,
+    _aggregate_line,
     build_env_config,
     build_train_config,
     expand_sweep,
@@ -34,6 +35,7 @@ from swarmherd.cli import (
 )
 from swarmherd.environment import format_float, trace_header, trace_row
 from swarmherd.errors import ConfigError
+from swarmherd.harness import RunRecord, aggregate
 
 import oracles
 from helpers import put
@@ -683,20 +685,24 @@ def _count_evaluations(monkeypatch) -> list:
     return evaluated
 
 
-@pytest.mark.parametrize("kept_lines, computed", [
-    (0, 2),  # the runs file is gone
-    (3, 2),  # cut inside cell 0's five runs
-    (7, 1),  # cell 0 whole, cell 1 cut after two runs
+# Each edit of the runs file's lines (header first; None deletes the file), with
+# the cells --resume computes. The ids are the kept line count and that number.
+@pytest.mark.parametrize("edit, computed", [
+    pytest.param(None, 2, id="0-2"),  # the runs file is gone
+    pytest.param(lambda lines: lines[:4], 2, id="3-2"),  # cut inside cell 0's five runs
+    pytest.param(lambda lines: lines[:8], 1, id="7-1"),  # cell 0 whole, cell 1 cut after two runs
+    # cell 0's runs 0 and 1 swapped: all there, but out of order
+    pytest.param(lambda lines: [lines[0], lines[2], lines[1], *lines[3:]], 2, id="swapped-2"),
 ])
 def test_sweep_resume_recomputes_cells_whose_runs_are_missing(tmp_path, sweep_config, monkeypatch,
-                                                             kept_lines, computed):
+                                                             edit, computed):
     full = tmp_path / "full"
     assert main(["sweep", "--config", sweep_config, "--out-dir", str(full)]) == 0
     resumed = tmp_path / "resumed"
     assert main(["sweep", "--config", sweep_config, "--out-dir", str(resumed)]) == 0
     runs_path = resumed / "demo_runs.csv"
-    if kept_lines:
-        runs_path.write_text("\n".join(runs_path.read_text().splitlines()[:1 + kept_lines]) + "\n")
+    if edit:
+        runs_path.write_text("\n".join(edit(runs_path.read_text().splitlines())) + "\n")
     else:
         runs_path.unlink()
     evaluated = _count_evaluations(monkeypatch)
@@ -801,10 +807,13 @@ def _with_fields(line: str, **changes: str) -> str:
     pytest.param("demo_aggregate.csv", 3, lambda line: _with_fields(line, f9="5.0"), id="row-runs"),
     pytest.param("demo_aggregate.csv", 3, lambda line: _with_fields(line, f8="1.00"),
                  id="row-rate-spelling"),
+    pytest.param("demo_aggregate.csv", 2, lambda line: _with_fields(line, f6="99.5"),
+                 id="row-disagrees-with-runs"),
 ])
 def test_sweep_resume_refuses_malformed_lines(tmp_path, finished_sweep, capsys, name, number,
                                               malform):
-    """A line --resume would keep must read back as the writer writes it."""
+    """A line --resume would keep must read back as the writer writes it, and a
+    kept row must be the aggregate of its cell's run lines."""
     out = tmp_path / "sweep_out"
     shutil.copytree(finished_sweep, out)
     sweep = ["sweep", "--config", str(finished_sweep / "sweep.ini"), "--out-dir", str(out)]
@@ -1052,3 +1061,74 @@ def test_every_config_exits_with_a_contract_code(tiny_table, overrides, command)
         config = write_tiny_config(Path(tmp, "case.ini"), overrides)
         argv = [arg.format(table=tiny_table) for arg in command]
         assert main([*argv, "--config", config, "--out-dir", tmp]) in (0, 2, 3, 4)
+
+
+# The files a --resume reads, and what the property below writes over them.
+RESUMED_FILES = ("demo_aggregate.csv", "demo_runs.csv", "demo_aggregate.csv.meta.json")
+RESUMED_TOKENS = ("nan", "", "1.00", "tru", "-1")
+RESUMED_SETTINGS = (0, -1, 5, 0.5, "", None, True, [1.0, 0.0])
+
+
+@st.composite
+def resume_edits(draw, texts: dict) -> dict:
+    """``texts`` with one edit: a file cut at a byte, one field of a line
+    replaced, two lines of a file swapped, or one setting changed or dropped."""
+    texts = dict(texts)
+    kind = draw(st.sampled_from(("cut", "field", "swap", "setting")))
+    if kind == "setting":
+        settings = json.loads(texts[RESUMED_FILES[2]])
+        key = draw(st.sampled_from(sorted(settings)))
+        if draw(st.booleans()):
+            del settings[key]
+        else:
+            settings[key] = draw(st.sampled_from(RESUMED_SETTINGS))
+        texts[RESUMED_FILES[2]] = json.dumps(settings, indent=2) + "\n"
+        return texts
+    name = draw(st.sampled_from(RESUMED_FILES if kind == "cut" else RESUMED_FILES[:2]))
+    text = texts[name]
+    if kind == "cut":
+        texts[name] = text[:draw(st.integers(0, len(text)))]
+        return texts
+    lines = text.splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "swap":
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        fields = lines[i].split(",")
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(RESUMED_TOKENS))
+        lines[i] = ",".join(fields)
+    texts[name] = "\n".join(lines) + "\n"
+    return texts
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_every_edited_resume_exits_with_a_contract_code(finished_sweep, data):
+    """Whatever an edit leaves in a finished sweep's files, --resume exits 0
+    or 2 with no exception escaping. On 2 no file changes; on 0 the rows are
+    a fresh run's, and each is the aggregate of its cell's run lines."""
+    fresh = {name: (finished_sweep / name).read_text() for name in RESUMED_FILES}
+    edited = data.draw(resume_edits(fresh))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        for name, text in edited.items():
+            (out / name).write_text(text)
+        code = main(["sweep", "--config", str(finished_sweep / "sweep.ini"), "--out-dir", tmp,
+                     "--resume"])
+        assert code in (0, 2)
+        after = {name: (out / name).read_text() for name in RESUMED_FILES}
+    if code == 2:
+        assert after == edited
+        return
+    assert after[RESUMED_FILES[0]] == fresh[RESUMED_FILES[0]]
+    records_of: dict[int, list[RunRecord]] = {}
+    for line in after[RESUMED_FILES[1]].splitlines()[1:]:
+        cell, run, converged, iterations, final_mse, seed = line.split(",")
+        records_of.setdefault(int(cell), []).append(
+            RunRecord(int(run), converged == "true", int(iterations), float(final_mse), int(seed)))
+    rows = after[RESUMED_FILES[0]].splitlines()[1:]
+    assert len(rows) == len(records_of)
+    for cell, row in enumerate(rows):
+        assert [r.run for r in records_of[cell]] == list(range(5))
+        assert row == _aggregate_line(row.rsplit(",", 4)[0], aggregate(records_of[cell]))
