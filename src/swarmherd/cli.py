@@ -221,8 +221,8 @@ def expand_sweep(cfg: dict, master_seed: int) -> list[SweepCell]:
 
     Cells with the same training parameters (differing only in n_test) share
     one training seed so the trained table is reused across test populations.
-    The training seed comes from the group's position and the evaluation seed
-    from the cell index, so a cell's results depend on the cells before it.
+    Training seeds derive from the master seed and the training settings, so a
+    cell's results depend on what it is, not on where it sits in the grid.
     """
     sw = cfg["sweep"]
     for key in GRID_KEYS:
@@ -237,15 +237,11 @@ def expand_sweep(cfg: dict, master_seed: int) -> list[SweepCell]:
     # zip stops at the end of point, before n_test.
     axes = [(x,) if sw[key] is None else sw[key] for key, x in zip(GRID_KEYS, point)]
     cells = []
-    for group, (algorithm, n_train, beta, mu_value, bins) in enumerate(itertools.product(*axes)):
+    for algorithm, n_train, beta, mu_value, bins in itertools.product(*axes):
         env = replace(base_env, num_agents=n_train, beta=beta, mu=mu_value, bins=bins)
-        train_cfg = TrainConfig(
-            env=env,
-            learner=replace(base_learner, algorithm=algorithm),
-            episodes=episodes,
-            max_iters_per_episode=max_iters,
-            seed=derive_seed(master_seed, 0, group),
-        )
+        train_cfg = TrainConfig(env, replace(base_learner, algorithm=algorithm), episodes,
+                                max_iters, seed=0)
+        train_cfg = replace(train_cfg, seed=derive_seed(master_seed, _training_key(train_cfg)))
         for n_test in sw["n_test"] or (n_train,):
             cells.append(SweepCell(len(cells), train_cfg, n_test))
     return cells
@@ -311,6 +307,13 @@ def _aggregate_line(key: str, agg) -> str:
     )
 
 
+def _training_key(tc: TrainConfig) -> int:
+    """What train() reads but the seed, as one int of repr bytes (floats as format_float)."""
+    training = asdict(tc)
+    del training["seed"], training["env"]["max_iterations"]  # only simulate reads it
+    return int.from_bytes(repr(training).encode(), "little")
+
+
 def _training_meta(tc: TrainConfig) -> dict:
     """Every field of ``tc``, its learner's and its env's inlined, in that order."""
     training = asdict(tc)
@@ -360,7 +363,7 @@ def cmd_evaluate(args) -> int:
     # whose "training" object names a known algorithm and a positive count.
     try:
         meta = json.loads(sidecar_path(args.table).read_text())["training"]
-    except (OSError, ValueError, KeyError, TypeError):
+    except (OSError, ValueError, KeyError, TypeError, RecursionError):
         meta = {}
     meta = meta if isinstance(meta, dict) else {}
     algorithm = meta.get("algorithm") if meta.get("algorithm") in ALGORITHMS else "unknown"
@@ -469,7 +472,7 @@ def _check_resumable(meta_path: Path, settings: dict) -> None:
     """ConfigError unless ``meta_path`` holds exactly ``settings``."""
     try:
         saved = json.loads(meta_path.read_text())
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):
         raise ConfigError(f"cannot resume: no readable settings in {meta_path}") from None
     if not isinstance(saved, dict):
         raise ConfigError(f"cannot resume: {meta_path} does not hold a JSON object")
@@ -518,7 +521,7 @@ def cmd_sweep(args) -> int:
     meta_path = sidecar_path(agg_path)
     settings = _sweep_settings(cfg)
     keys = [_aggregate_key(c.train.learner.algorithm, c.train.env.num_agents, c.env) for c in cells]
-    results = []
+    done: dict[int, list[RunRecord]] = {}
     if args.resume and agg_path.exists():
         _check_resumable(meta_path, settings)
         records_of: dict[int, list[RunRecord]] = {}
@@ -529,32 +532,28 @@ def cmd_sweep(args) -> int:
                 except ValueError:
                     raise _malformed(number, runs_path, line) from None
                 records_of.setdefault(index, []).append(record)
-        # Keep the leading cells whose rows match the grid and whose runs are all
-        # there in order: seeds come from grid positions, so a fresh run would
-        # rewrite them. A kept row must be the aggregate of its cell's runs.
-        for cell, key, line in zip(cells, keys, _resumed_lines(agg_path)):
-            records = records_of.get(cell.index, [])
-            if line.rsplit(",", 4)[0] != key or [r.run for r in records] != list(range(sw["runs"])):
-                break
-            agg = aggregate(records)
-            if _aggregate_line(key, agg) != line:
-                raise _malformed(cell.index + 2, agg_path, line)
-            results.append((cell, records, agg))
-    pending = cells[len(results):]
+        # Seeds come from what a cell is, so run 0's seed names a cell wherever it sat.
+        by_seed = {records[0].seed: records for records in records_of.values()}
+        rows = {line.rsplit(",", 4)[0]: (number, line)
+                for number, line in enumerate(_resumed_lines(agg_path), start=2)}
+        for cell, key in zip(cells, keys):
+            seeds = [derive_seed(cell.seed, run) for run in range(sw["runs"])]
+            records = by_seed.get(seeds[0], [])
+            if [(r.run, r.seed) for r in records] == list(enumerate(seeds)) and key in rows:
+                number, line = rows[key]
+                if _aggregate_line(key, aggregate(records)) != line:
+                    raise _malformed(number, agg_path, line)
+                done[cell.index] = records
+    pending = [cell for cell in cells if cell.index not in done]
     if pending:
-        results += sweep(
-            pending,
-            runs=sw["runs"],
-            eval_max_iters=sw["eval_max_iters"],
-            epsilon_eval=sw["epsilon_eval"],
-            master_seed=cfg["train"]["seed"],
-            jobs=args.jobs,
-        )
+        for cell, records, _ in sweep(pending, sw["runs"], sw["eval_max_iters"], sw["epsilon_eval"],
+                                      args.jobs):
+            done[cell.index] = records
     agg_lines = [AGGREGATE_HEADER]
     run_lines = [RUNS_HEADER]
-    for cell, records, agg in results:
-        agg_lines.append(_aggregate_line(keys[cell.index], agg))
-        run_lines += [_run_line(cell.index, r) for r in records]
+    for cell, key in zip(cells, keys):
+        agg_lines.append(_aggregate_line(key, aggregate(done[cell.index])))
+        run_lines += [_run_line(cell.index, r) for r in done[cell.index]]
     # Without a settings file no --resume trusts the rows, so it goes first
     # and comes back last.
     meta_path.unlink(missing_ok=True)
@@ -643,9 +642,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel training workers, at most one per training group")
     p.add_argument("--resume", action="store_true",
-                   help="keep the leading cells whose rows match the grid and whose runs are "
-                        "all there in order; compute the rest. Refuses (exit 2) if a kept row is "
-                        "not its runs' aggregate or a non-grid setting differs from the saved one")
+                   help="keep each cell whose runs are all there, in order, with its seeds; "
+                        "compute the rest. Refuses (exit 2) if a kept cell's row is not its runs' "
+                        "aggregate or a non-grid setting differs from the saved one")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("inspect", help="print a table's header and summary statistics")

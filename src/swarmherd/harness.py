@@ -2,8 +2,8 @@
 and hyperparameter sweeps (with optional cross-population testing).
 
 Everything is deterministic for a fixed seed: per-run streams derive from
-(master seed, cell index, run index) through numpy's SeedSequence, so
-results do not depend on scheduling or on how a sweep is split up.
+(training seed, test population, run index) through numpy's SeedSequence, so
+a sweep cell's results depend on what it is, not where it sits or runs.
 """
 
 from __future__ import annotations
@@ -94,6 +94,11 @@ class SweepCell:
     def env(self) -> EnvConfig:
         """The environment this cell's policy is evaluated on."""
         return replace(self.train.env, num_agents=self.n_test)
+
+    @property
+    def seed(self) -> int:
+        """The evaluation seed: run r of this cell draws from derive_seed(seed, r)."""
+        return derive_seed(self.train.seed, self.n_test)
 
 
 def train(cfg: TrainConfig) -> TrainResult:
@@ -303,13 +308,10 @@ def evaluate(
 
 
 def _sweep_group(args) -> list[tuple[SweepCell, list[RunRecord], EvalAggregate]]:
-    cells, runs, eval_max_iters, epsilon_eval, master_seed = args
+    cells, runs, eval_max_iters, epsilon_eval = args
     table = train(cells[0].train).table
-    return [
-        (cell, *evaluate(table, cell.env, runs=runs, eval_max_iters=eval_max_iters,
-                         epsilon_eval=epsilon_eval, seed=derive_seed(master_seed, 1, cell.index)))
-        for cell in cells
-    ]
+    return [(cell, *evaluate(table, cell.env, runs, eval_max_iters, epsilon_eval, seed=cell.seed))
+            for cell in cells]
 
 
 def sweep(
@@ -317,7 +319,6 @@ def sweep(
     runs: int,
     eval_max_iters: int = 1000,
     epsilon_eval: float = 0.0,
-    master_seed: int = 0,
     jobs: int = 1,
 ) -> list[tuple[SweepCell, list[RunRecord], EvalAggregate]]:
     """Train and evaluate every sweep cell; one (cell, records, aggregate) per cell.
@@ -335,7 +336,7 @@ def sweep(
     groups: dict[TrainConfig, list[SweepCell]] = {}
     for cell in cells:
         groups.setdefault(cell.train, []).append(cell)
-    tasks = [(group, runs, eval_max_iters, epsilon_eval, master_seed) for group in groups.values()]
+    tasks = [(group, runs, eval_max_iters, epsilon_eval) for group in groups.values()]
     workers = min(jobs, len(tasks))
     if workers > 1:
         # Imported here: only a parallel sweep pays for the process pool machinery.

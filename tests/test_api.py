@@ -117,9 +117,11 @@ def test_every_name_the_benchmark_reads_or_patches_resolves():
     # Tier-1 does not run perfbench/test_smoke.py, so these names would break
     # only the benchmark if retired. perfbench/tracer.py's _train_stats binds
     # train's cfg, reads its max_iters_per_episode and the trained
-    # QTable.values; perfbench/child.py's phase clock replaces train and
-    # evaluate in swarmherd.cli and swarmherd.harness.
+    # QTable.values; its _sweep_stats binds sweep's cells and jobs;
+    # perfbench/child.py's phase clock replaces train and evaluate in
+    # swarmherd.cli and swarmherd.harness.
     assert "cfg" in inspect.signature(harness.train).parameters
+    assert {"cells", "jobs"} <= set(inspect.signature(harness.sweep).parameters)
     assert "max_iters_per_episode" in TrainConfig.__dataclass_fields__
     assert isinstance(QTable.values, property)
     for name in ("train", "evaluate"):

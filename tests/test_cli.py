@@ -25,7 +25,6 @@ from swarmherd import (
 from swarmherd.cli import (
     DEFAULTS,
     SCHEMA,
-    _aggregate_line,
     build_env_config,
     build_train_config,
     expand_sweep,
@@ -35,7 +34,6 @@ from swarmherd.cli import (
 )
 from swarmherd.environment import format_float, trace_header, trace_row
 from swarmherd.errors import ConfigError
-from swarmherd.harness import RunRecord, aggregate
 
 import oracles
 from helpers import put
@@ -62,6 +60,10 @@ episodes = 50
 max_iters = 200
 seed = 5
 """
+
+
+# JSON text nested too deep for json.loads, which raises RecursionError on it.
+NESTED_JSON = "[" * 200_000
 
 
 @pytest.fixture
@@ -301,11 +303,12 @@ def test_evaluate_emits_records_and_aggregate(tmp_path, smoke_config, trained_di
 
 
 def test_evaluate_ignores_a_sidecar_that_is_not_an_object(tmp_path, smoke_config, trained_dir):
-    (trained_dir / "qtable.swhq.meta.json").write_text("[1]\n")
-    out = tmp_path / "eval"
-    assert main(["evaluate", str(trained_dir / "qtable.swhq"), "--config", smoke_config,
-                 "--runs", "5", "--out-dir", str(out)]) == 0
-    assert (out / "eval_aggregate.csv").read_text().splitlines()[1].startswith("unknown,0,10,")
+    for text in ("[1]\n", NESTED_JSON):
+        (trained_dir / "qtable.swhq.meta.json").write_text(text)
+        out = tmp_path / "eval"
+        assert main(["evaluate", str(trained_dir / "qtable.swhq"), "--config", smoke_config,
+                     "--runs", "5", "--out-dir", str(out)]) == 0
+        assert (out / "eval_aggregate.csv").read_text().splitlines()[1].startswith("unknown,0,10,")
 
 
 def test_evaluate_ignores_sidecar_fields_it_cannot_write(tmp_path, smoke_config, trained_dir):
@@ -686,13 +689,20 @@ def _count_evaluations(monkeypatch) -> list:
 
 
 # Each edit of the runs file's lines (header first; None deletes the file), with
-# the cells --resume computes. The ids are the kept line count and that number.
+# the cells --resume computes. The ids end in that number; a leading number is
+# the kept line count.
 @pytest.mark.parametrize("edit, computed", [
     pytest.param(None, 2, id="0-2"),  # the runs file is gone
     pytest.param(lambda lines: lines[:4], 2, id="3-2"),  # cut inside cell 0's five runs
     pytest.param(lambda lines: lines[:8], 1, id="7-1"),  # cell 0 whole, cell 1 cut after two runs
-    # cell 0's runs 0 and 1 swapped: all there, but out of order
-    pytest.param(lambda lines: [lines[0], lines[2], lines[1], *lines[3:]], 2, id="swapped-2"),
+    # cell 0's runs 0 and 1 swapped: all there, but out of order; cell 1 is still kept
+    pytest.param(lambda lines: [lines[0], lines[2], lines[1], *lines[3:]], 1, id="swapped-1"),
+    # one seed edited to another well-formed value: run 0's, which names cell 0,
+    # or cell 1's run 3
+    pytest.param(lambda lines: [lines[0], _with_fields(lines[1], f5="7"), *lines[2:]], 1,
+                 id="seed0-1"),
+    pytest.param(lambda lines: [*lines[:9], _with_fields(lines[9], f5="7"), *lines[10:]], 1,
+                 id="seed3-1"),
 ])
 def test_sweep_resume_recomputes_cells_whose_runs_are_missing(tmp_path, sweep_config, monkeypatch,
                                                              edit, computed):
@@ -762,14 +772,17 @@ def test_sweep_resume_refuses_other_settings(tmp_path, sweep_config, capsys):
         assert main(sweep + extra) == 2
         assert key in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == files
-    # A settings file that is missing or not an object, and a malformed runs line.
+    # A settings file that is missing, not an object or too deep to decode, and a
+    # malformed runs line.
     meta = out / "demo_aggregate.csv.meta.json"
-    for text in (None, "[1]"):
+    for text in (None, "[1]", NESTED_JSON):
         meta.unlink(missing_ok=True)
         if text is not None:
             meta.write_text(text)
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
         assert main(sweep + ["--resume"]) == 2
         assert "cannot resume" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == files
     assert main(sweep) == 0
     runs = out / "demo_runs.csv"
     runs.write_text(runs.read_text() + "garbage\n")
@@ -893,11 +906,12 @@ def test_sweep_resume_after_grid_edits_matches_fresh_run(tmp_path, monkeypatch):
     config = tmp_path / "sweep.ini"
     config.write_text(SWEEP_CONFIG)
     assert main(["sweep", "--config", str(config), "--out-dir", str(resumed)]) == 0
-    # Each edit, with the cells --resume keeps and the cells it computes.
+    # Each edit, with the cells --resume keeps and the cells it computes. Seeds
+    # come from what a cell is, so every cell the edit leaves as it was is kept.
     edits = [
-        (("mus = 0.01", "mus = 0.02, 0.01"), 0, 4),  # inserted at the front
-        (("mus = 0.01", "mus = 0.02, 0.01, 0.03"), 2, 4),  # appended
-        (("mus = 0.01", "mus = 0.02, 0.01, 0.03\nn_test = 10, 5"), 1, 11),  # n_test changed
+        (("mus = 0.01", "mus = 0.02, 0.01"), 2, 2),  # inserted at the front
+        (("mus = 0.01", "mus = 0.02, 0.01, 0.03"), 4, 2),  # appended
+        (("mus = 0.01", "mus = 0.02, 0.01, 0.03\nn_test = 10, 5"), 6, 6),  # n_test changed
     ]
     for step, (edit, kept, computed) in enumerate(edits):
         config.write_text(SWEEP_CONFIG.replace(*edit))
@@ -1107,7 +1121,7 @@ def resume_edits(draw, texts: dict) -> dict:
 def test_every_edited_resume_exits_with_a_contract_code(finished_sweep, data):
     """Whatever an edit leaves in a finished sweep's files, --resume exits 0
     or 2 with no exception escaping. On 2 no file changes; on 0 the rows are
-    a fresh run's, and each is the aggregate of its cell's run lines."""
+    a fresh run's, and so is every field of the run lines but final_mse."""
     fresh = {name: (finished_sweep / name).read_text() for name in RESUMED_FILES}
     edited = data.draw(resume_edits(fresh))
     with tempfile.TemporaryDirectory() as tmp:
@@ -1122,13 +1136,76 @@ def test_every_edited_resume_exits_with_a_contract_code(finished_sweep, data):
         assert after == edited
         return
     assert after[RESUMED_FILES[0]] == fresh[RESUMED_FILES[0]]
-    records_of: dict[int, list[RunRecord]] = {}
-    for line in after[RESUMED_FILES[1]].splitlines()[1:]:
-        cell, run, converged, iterations, final_mse, seed = line.split(",")
-        records_of.setdefault(int(cell), []).append(
-            RunRecord(int(run), converged == "true", int(iterations), float(final_mse), int(seed)))
-    rows = after[RESUMED_FILES[0]].splitlines()[1:]
-    assert len(rows) == len(records_of)
-    for cell, row in enumerate(rows):
-        assert [r.run for r in records_of[cell]] == list(range(5))
-        assert row == _aggregate_line(row.rsplit(",", 4)[0], aggregate(records_of[cell]))
+    got_runs = after[RESUMED_FILES[1]].splitlines()
+    fresh_runs = fresh[RESUMED_FILES[1]].splitlines()
+    assert len(got_runs) == len(fresh_runs)
+    for got, want in zip(got_runs, fresh_runs):
+        # Known gap: a final_mse edited to nan reads back as written and enters
+        # no aggregate, so only re-running its cell could catch it.
+        assert got == want or got == _with_fields(want, f4="nan"), got
+
+
+# The sidecar fields the property below replaces (the two evaluate reads, a
+# training field it does not, and both top-level ones), and what it writes.
+SIDECAR_FIELDS = ("algorithm", "num_agents", "episodes", "training", "created_at")
+SIDECAR_VALUES = ("sarsa", "dqn", "", None, True, 0, 7, 2.0, [1], {"a": 1})
+
+
+@st.composite
+def sidecar_edits(draw, text: str) -> str:
+    """``text`` with one edit: cut at a byte, one field replaced, or the whole
+    text replaced by JSON that is no object or too deep to decode."""
+    kind = draw(st.sampled_from(("cut", "field", "whole")))
+    if kind == "cut":
+        return text[:draw(st.integers(0, len(text)))]
+    if kind == "whole":
+        return draw(st.sampled_from(("[1]", "null", "7", '"training"', NESTED_JSON)))
+    meta = json.loads(text)
+    field = draw(st.sampled_from(SIDECAR_FIELDS))
+    owner = meta if field in meta else meta["training"]
+    owner[field] = draw(st.sampled_from(SIDECAR_VALUES))
+    return json.dumps(meta)
+
+
+@pytest.fixture(scope="module")
+def evaluated_table(tmp_path_factory):
+    """A tiny trained table, its config, and the two files evaluating it writes."""
+    out = tmp_path_factory.mktemp("evaluated")
+    config = write_tiny_config(out / "tiny.ini", {})
+    assert main(["train", "--config", config, "--out-dir", str(out)]) == 0
+    assert main(["evaluate", str(out / "qtable.swhq"), "--config", config, "--runs", "3",
+                 "--eval-max-iters", "20", "--out-dir", str(out)]) == 0
+    return out
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_every_edited_sidecar_leaves_evaluate_at_exit_0(evaluated_table, data):
+    """Whatever an edit leaves in a table's sidecar, evaluate exits 0 and writes
+    the unedited run's runs file. Its aggregate row differs at most in the
+    first two fields: the sidecar's training algorithm and num_agents where
+    they are valid, and unknown and 0 where they are not."""
+    sidecar = (evaluated_table / "qtable.swhq.meta.json").read_text()
+    edited = data.draw(sidecar_edits(sidecar))
+    try:
+        training = json.loads(edited)["training"]
+    except (ValueError, KeyError, TypeError, RecursionError):
+        training = {}
+    training = training if isinstance(training, dict) else {}
+    algorithm = training.get("algorithm")
+    n_train = training.get("num_agents")
+    expected = (algorithm if algorithm in ("qlearning", "sarsa") else "unknown",
+                str(n_train) if type(n_train) is int and n_train > 0 else "0")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        shutil.copy(evaluated_table / "qtable.swhq", out)
+        (out / "qtable.swhq.meta.json").write_text(edited)
+        assert main(["evaluate", str(out / "qtable.swhq"), "--config",
+                     str(evaluated_table / "tiny.ini"), "--runs", "3", "--eval-max-iters", "20",
+                     "--out-dir", tmp]) == 0
+        runs, rows = ((out / name).read_text() for name in ("eval_runs.csv", "eval_aggregate.csv"))
+    assert runs == (evaluated_table / "eval_runs.csv").read_text()
+    header, row = rows.splitlines()
+    fresh_header, fresh_row = (evaluated_table / "eval_aggregate.csv").read_text().splitlines()
+    assert header == fresh_header
+    assert row.split(",", 2) == [*expected, fresh_row.split(",", 2)[2]]

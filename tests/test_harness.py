@@ -330,7 +330,7 @@ def _smoke_cells(betas=(0.3, 0.4), n_tests=None):
 
 
 def test_sweep_emits_one_row_per_cell():
-    results = sweep(_smoke_cells(), runs=5, eval_max_iters=200, master_seed=100)
+    results = sweep(_smoke_cells(), runs=5, eval_max_iters=200)
     assert [cell.index for cell, _, _ in results] == [0, 1]
     assert [cell.train.env.beta for cell, _, _ in results] == [0.3, 0.4]
     assert sum(len(records) for _, records, _ in results) == 10
@@ -345,17 +345,26 @@ def test_sweep_cross_population_grid():
         for n_test in (5, 10):
             cells.append(SweepCell(index, cfg, n_test))
             index += 1
-    results = sweep(cells, runs=5, eval_max_iters=200, master_seed=7)
+    results = sweep(cells, runs=5, eval_max_iters=200)
     assert [(cell.train.env.num_agents, cell.n_test) for cell, _, _ in results] == [
         (5, 5), (5, 10), (10, 5), (10, 10)
     ]
 
 
 def test_sweep_is_reproducible_and_jobs_invariant():
-    results1 = sweep(_smoke_cells(), runs=5, eval_max_iters=200, master_seed=42)
-    results2 = sweep(_smoke_cells(), runs=5, eval_max_iters=200, master_seed=42)
-    results_par = sweep(_smoke_cells(), runs=5, eval_max_iters=200, master_seed=42, jobs=2)
+    results1 = sweep(_smoke_cells(), runs=5, eval_max_iters=200)
+    results2 = sweep(_smoke_cells(), runs=5, eval_max_iters=200)
+    results_par = sweep(_smoke_cells(), runs=5, eval_max_iters=200, jobs=2)
     assert results1 == results2 == results_par
+
+
+def test_sweep_cell_results_do_not_depend_on_where_it_sits():
+    first, second = _smoke_cells()
+    alone = sweep([replace(second, index=0)], runs=5, eval_max_iters=200)
+    behind = sweep([first, second], runs=5, eval_max_iters=200)
+    assert alone[0][1:] == behind[1][1:]
+    assert behind[1][0] == second
+    assert [r.seed for r in alone[0][1]] == [derive_seed(second.seed, i) for i in range(5)]
 
 
 def test_sweep_rejects_empty_grid():
