@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
-import copy
 import itertools
 import json
 import math
@@ -31,6 +30,7 @@ import numpy as np
 
 from .dynamics import LeaderState
 from .environment import (
+    BACKENDS,
     Action,
     EnvConfig,
     HerdingEnv,
@@ -91,34 +91,19 @@ _PARSERS = {"int": int, "float": float, "bool": _parse_bool, "str": str,
 # The [sweep] lists that span the grid, in expansion order; n_test is innermost.
 GRID_KEYS = ("algorithms", "n_train", "betas", "mus", "bins", "n_test")
 
-# [env] and [learner] hold one key per field of EnvConfig and LearnerConfig;
-# the grid size sits in [graph].
-SCHEMA = {
-    "graph": {"rows": int, "cols": int},
-    "env": {f.name: _PARSERS[f.type] for f in fields(EnvConfig) if f.name not in ("rows", "cols")},
-    "learner": {f.name: _PARSERS[f.type] for f in fields(LearnerConfig)},
-    "train": {"episodes": int, "max_iters": int, "seed": int},
-    "sweep": {
-        "name": str,
-        "algorithms": _parse_list(str),
-        "n_train": _parse_list(int),
-        "n_test": _parse_list(int),
-        "betas": _parse_list(float),
-        "mus": _parse_list(float),
-        "bins": _parse_list(int),
-        "runs": int,
-        "eval_max_iters": int,
-        "epsilon_eval": float,
-        "episodes": int,
-        "max_iters": int,
-    },
-}
 
-# Replicates the headline experiment: 2x2 grid, 100 agents, beta 0.1,
-# 10 bins, mu 0.0025, 5000 episodes of up to 5000 iterations.
-DEFAULTS = {
-    "graph": {"rows": 2, "cols": 2},
-    "env": {
+def _annotated(cls, defaults: dict) -> dict:
+    """(parser, default) per key of ``defaults``, parsed as its ``cls`` field is annotated."""
+    return {k: (_PARSERS[cls.__dataclass_fields__[k].type], d) for k, d in defaults.items()}
+
+
+# Each config key's (parser, default), in the order the sweep settings file lists
+# them. [env] and [learner] hold one key per field of EnvConfig and LearnerConfig;
+# the grid size sits in [graph]. The defaults replicate the headline experiment: 2x2
+# grid, 100 agents, beta 0.1, 10 bins, mu 0.0025, 5000 episodes of up to 5000 iterations.
+CONFIG_KEYS = {
+    "graph": {"rows": (int, 2), "cols": (int, 2)},
+    "env": _annotated(EnvConfig, {
         "num_agents": 100,
         "beta": 0.1,
         "bins": 10,
@@ -127,42 +112,42 @@ DEFAULTS = {
         "max_iterations": 5000,
         "initial_dist": (0.4, 0.1, 0.1, 0.4),
         "target_dist": (0.1, 0.4, 0.4, 0.1),
-    },
-    "learner": {f.name: f.default for f in fields(LearnerConfig)},
-    "train": {"episodes": 5000, "max_iters": 5000, "seed": 12345},
+    }),
+    "learner": _annotated(LearnerConfig, {f.name: f.default for f in fields(LearnerConfig)}),
+    "train": {"episodes": (int, 5000), "max_iters": (int, 5000), "seed": (int, 12345)},
     "sweep": {
-        "name": "sweep",
-        # Unset lists (None) take the [learner]/[env] value; unset n_test is n_train.
-        "algorithms": None,
-        "n_train": None,
-        "n_test": (),
-        "betas": None,
-        "mus": None,
-        "bins": None,
-        "runs": 1000,
-        "eval_max_iters": 1000,
-        "epsilon_eval": 0.0,
-        "episodes": 0,  # 0 means: use [train] episodes
-        "max_iters": 0,  # 0 means: use [train] max_iters
+        "name": (str, "sweep"),
+        # An unset list (None) takes the [learner]/[env] value; unset n_test is n_train.
+        "algorithms": (_parse_list(str), None),
+        "n_train": (_parse_list(int), None),
+        "n_test": (_parse_list(int), None),
+        "betas": (_parse_list(float), None),
+        "mus": (_parse_list(float), None),
+        "bins": (_parse_list(int), None),
+        "runs": (int, 1000),
+        "eval_max_iters": (int, 1000),
+        "epsilon_eval": (float, 0.0),
+        "episodes": (int, 0),  # 0 means: use [train] episodes
+        "max_iters": (int, 0),  # 0 means: use [train] max_iters
     },
 }
 
 
 def _set(cfg: dict, section: str, key: str, raw: str, unknown: str, name: str) -> None:
     """Parse ``raw`` into ``cfg[section][key]``. ConfigError(``unknown``) for a
-    key the schema lacks, and one naming ``name`` for a bad value."""
-    parse = SCHEMA.get(section, {}).get(key)
-    if parse is None:
+    key the table lacks, and one naming ``name`` for a bad value."""
+    spec = CONFIG_KEYS.get(section, {}).get(key)
+    if spec is None:
         raise ConfigError(unknown)
     try:
-        cfg[section][key] = parse(raw)
+        cfg[section][key] = spec[0](raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {name}: {exc}") from None
 
 
 def load_config(path: str | None) -> dict:
     """Parse the config file over the defaults, then apply SWHERD_* variables."""
-    cfg = copy.deepcopy(DEFAULTS)
+    cfg = {section: {k: d for k, (_, d) in keys.items()} for section, keys in CONFIG_KEYS.items()}
     if path is not None:
         try:
             text = Path(path).read_text(encoding="utf-8")
@@ -174,7 +159,7 @@ def load_config(path: str | None) -> dict:
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from None
         for section in parser.sections():
-            if section not in SCHEMA:
+            if section not in CONFIG_KEYS:
                 raise ConfigError(f"unknown section [{section}] in {path}")
             for key, raw in parser.items(section):
                 _set(cfg, section, key, raw,
@@ -206,12 +191,13 @@ def build_env_config(cfg: dict, num_agents: int | None = None) -> EnvConfig:
     return EnvConfig(**cfg["graph"], **env)
 
 
-def build_train_config(cfg: dict) -> TrainConfig:
+def build_train_config(cfg: dict, episodes: int = 0, max_iters: int = 0) -> TrainConfig:
+    """[train]'s run; a nonzero ``episodes`` or ``max_iters`` replaces its value unchecked."""
     return TrainConfig(
         env=build_env_config(cfg),
         learner=LearnerConfig(**cfg["learner"]),
-        episodes=cfg["train"]["episodes"],
-        max_iters_per_episode=cfg["train"]["max_iters"],
+        episodes=episodes or cfg["train"]["episodes"],
+        max_iters_per_episode=max_iters or cfg["train"]["max_iters"],
         seed=cfg["train"]["seed"],
     )
 
@@ -229,20 +215,16 @@ def expand_sweep(cfg: dict, master_seed: int) -> list[SweepCell]:
         values = sw[key] or ()
         if len(set(values)) < len(values):
             raise ConfigError(f"[sweep] {key} repeats a value: {', '.join(map(str, values))}")
-    episodes = sw["episodes"] or cfg["train"]["episodes"]
-    max_iters = sw["max_iters"] or cfg["train"]["max_iters"]
-    base_env = build_env_config(cfg)
-    base_learner = LearnerConfig(**cfg["learner"])
-    point = (base_learner.algorithm, base_env.num_agents, base_env.beta, base_env.mu, base_env.bins)
+    base = build_train_config(cfg, sw["episodes"], sw["max_iters"])
+    point = (base.learner.algorithm, base.env.num_agents, base.env.beta, base.env.mu, base.env.bins)
     # zip stops at the end of point, before n_test.
     axes = [(x,) if sw[key] is None else sw[key] for key, x in zip(GRID_KEYS, point)]
     cells = []
     for algorithm, n_train, beta, mu_value, bins in itertools.product(*axes):
-        env = replace(base_env, num_agents=n_train, beta=beta, mu=mu_value, bins=bins)
-        train_cfg = TrainConfig(env, replace(base_learner, algorithm=algorithm), episodes,
-                                max_iters, seed=0)
+        env = replace(base.env, num_agents=n_train, beta=beta, mu=mu_value, bins=bins)
+        train_cfg = replace(base, env=env, learner=replace(base.learner, algorithm=algorithm))
         train_cfg = replace(train_cfg, seed=derive_seed(master_seed, _training_key(train_cfg)))
-        for n_test in sw["n_test"] or (n_train,):
+        for n_test in (n_train,) if sw["n_test"] is None else sw["n_test"]:
             cells.append(SweepCell(len(cells), train_cfg, n_test))
     return cells
 
@@ -305,6 +287,16 @@ def _aggregate_line(key: str, agg) -> str:
         f"{key},{format_float(agg.mean_iterations)},{format_float(agg.std_iterations)},"
         f"{format_float(agg.convergence_rate)},{agg.runs}"
     )
+
+
+def _write_results(runs_path: Path, agg_path: Path, results) -> None:
+    """The runs file, then the aggregate file, of (cell index, key, records) per cell."""
+    runs, rows = [RUNS_HEADER], [AGGREGATE_HEADER]
+    for index, key, records in results:
+        runs += [_run_line(index, r) for r in records]
+        rows.append(_aggregate_line(key, aggregate(records)))
+    _write_atomic(runs_path, "\n".join(runs) + "\n")
+    _write_atomic(agg_path, "\n".join(rows) + "\n")
 
 
 def _training_key(tc: TrainConfig) -> int:
@@ -370,10 +362,8 @@ def cmd_evaluate(args) -> int:
     n_train = meta.get("num_agents")
     n_train = n_train if type(n_train) is int and n_train >= 1 else 0  # bool is not int here
     out = Path(args.out_dir)
-    runs_lines = [RUNS_HEADER] + [_run_line(0, r) for r in records]
-    _write_atomic(out / "eval_runs.csv", "\n".join(runs_lines) + "\n")
-    agg_line = _aggregate_line(_aggregate_key(algorithm, n_train, env_cfg), agg)
-    _write_atomic(out / "eval_aggregate.csv", AGGREGATE_HEADER + "\n" + agg_line + "\n")
+    _write_results(out / "eval_runs.csv", out / "eval_aggregate.csv",
+                   [(0, _aggregate_key(algorithm, n_train, env_cfg), records)])
     print(
         f"runs={agg.runs} mean_iterations={format_float(agg.mean_iterations)} "
         f"std_iterations={format_float(agg.std_iterations)} "
@@ -492,11 +482,11 @@ def _resumed_lines(path: Path) -> list[str]:
 
 def _resumed_record(line: str) -> tuple[int, RunRecord]:
     """The cell and record of a runs line; ValueError unless the line reads
-    back as :func:`_run_line` writes it."""
+    back as :func:`_run_line` writes it, with a finite, non-negative final_mse."""
     cell, run, converged, iterations, final_mse, seed = line.split(",")
     cell = int(cell)
     record = RunRecord(int(run), converged == "true", int(iterations), float(final_mse), int(seed))
-    if _run_line(cell, record) != line:
+    if _run_line(cell, record) != line or not 0.0 <= record.final_mse < math.inf:
         raise ValueError(line)
     return cell, record
 
@@ -549,18 +539,13 @@ def cmd_sweep(args) -> int:
         for cell, records, _ in sweep(pending, sw["runs"], sw["eval_max_iters"], sw["epsilon_eval"],
                                       args.jobs):
             done[cell.index] = records
-    agg_lines = [AGGREGATE_HEADER]
-    run_lines = [RUNS_HEADER]
-    for cell, key in zip(cells, keys):
-        agg_lines.append(_aggregate_line(key, aggregate(done[cell.index])))
-        run_lines += [_run_line(cell.index, r) for r in done[cell.index]]
     # Without a settings file no --resume trusts the rows, so it goes first
     # and comes back last.
     meta_path.unlink(missing_ok=True)
-    _write_atomic(agg_path, "\n".join(agg_lines) + "\n")
-    _write_atomic(runs_path, "\n".join(run_lines) + "\n")
+    _write_results(runs_path, agg_path,
+                   [(cell.index, key, done[cell.index]) for cell, key in zip(cells, keys)])
     _write_atomic(meta_path, json.dumps(settings, indent=2) + "\n")
-    print(f"wrote {agg_path} ({len(agg_lines) - 1} cells)")
+    print(f"wrote {agg_path} ({len(cells)} cells)")
     return 0
 
 
@@ -602,7 +587,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="INI configuration file")
     p.add_argument("--seed", type=int, default=None, help="master seed (overrides [train] seed)")
     p.add_argument("--out-dir", default=".", help="directory for output artifacts")
-    p.add_argument("--backend", choices=["dtmc", "mean-field"], default=None,
+    p.add_argument("--backend", choices=BACKENDS, default=None,
                    help="follower backend override")
 
 

@@ -17,8 +17,9 @@ from helpers import headline_env
 # The ndarray step, encode and TD layer the loop kernels replaced, the
 # graph module whose grid EnvConfig and HerdingEnv.neighbors now spell, the
 # rate type and step wrappers that HerdingEnv.repel replaced, the masked
-# max that the Q-Learning target's greedy_action_index replaced, and the
-# leader transition functions whose table HerdingEnv.moves now builds itself.
+# max that the Q-Learning target's greedy_action_index replaced, the
+# leader transition functions whose table HerdingEnv.moves now builds itself,
+# and the config parser and default tables that cli.CONFIG_KEYS merged.
 RETIRED = {
     swarmherd: (
         "graph",
@@ -50,6 +51,7 @@ RETIRED = {
         "mean_field_step",
     ),
     errors: ("EmptySwarmError", "InvalidRatesError", "SimplexError", "InvalidActionError"),
+    cli: ("SCHEMA", "DEFAULTS"),
 }
 
 

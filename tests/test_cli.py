@@ -23,8 +23,8 @@ from swarmherd import (
     save_qtable,
 )
 from swarmherd.cli import (
-    DEFAULTS,
-    SCHEMA,
+    CONFIG_KEYS,
+    GRID_KEYS,
     build_env_config,
     build_train_config,
     expand_sweep,
@@ -97,11 +97,9 @@ def test_defaults_replicate_headline_experiment():
 
 def test_env_and_learner_keys_are_the_config_fields():
     env_fields = {f.name for f in fields(EnvConfig)}
-    assert set(SCHEMA["graph"]) == {"rows", "cols"}
-    assert set(SCHEMA["env"]) == env_fields - {"rows", "cols"}
-    assert set(SCHEMA["learner"]) == {f.name for f in fields(LearnerConfig)}
-    for section, keys in SCHEMA.items():
-        assert set(DEFAULTS[section]) == set(keys), section
+    assert set(CONFIG_KEYS["graph"]) == {"rows", "cols"}
+    assert set(CONFIG_KEYS["env"]) == env_fields - {"rows", "cols"}
+    assert set(CONFIG_KEYS["learner"]) == {f.name for f in fields(LearnerConfig)}
 
 
 def test_unknown_key_is_rejected_by_name(tmp_path, capsys):
@@ -812,6 +810,9 @@ def _with_fields(line: str, **changes: str) -> str:
     pytest.param("demo_runs.csv", 3, lambda line: _with_fields(line, f2="tru"), id="run-converged"),
     pytest.param("demo_runs.csv", 4, lambda line: _with_fields(line, f3="5.0"), id="run-iterations"),
     pytest.param("demo_runs.csv", 5, lambda line: _with_fields(line, f4="mse"), id="run-final-mse"),
+    # A final_mse enters no aggregate row, so only its reading checks it.
+    *(pytest.param("demo_runs.csv", 8, lambda line, mse=mse: _with_fields(line, f4=mse),
+                   id=f"run-final-mse-{mse}") for mse in ("nan", "inf", "-inf", "-0.5")),
     pytest.param("demo_runs.csv", 6, lambda line: _with_fields(line, f5=""), id="run-seed"),
     pytest.param("demo_runs.csv", 7, lambda line: line + ",1", id="run-extra-field"),
     pytest.param("demo_runs.csv", 11, lambda line: _with_fields(line, f1="1_0"), id="run-index"),
@@ -870,10 +871,31 @@ episodes = 40
 
 
 def test_sweep_empty_grid_is_config_error(tmp_path, capsys):
+    """An explicitly empty grid list is an empty grid, n_test's too."""
     config = tmp_path / "empty.ini"
-    config.write_text("[sweep]\nalgorithms =\n")
-    rc = main(["sweep", "--config", str(config), "--out-dir", str(tmp_path)])
-    assert rc == 2
+    out = tmp_path / "out"
+    for key in GRID_KEYS:
+        config.write_text(f"[sweep]\n{key} =\n")
+        assert main(["sweep", "--config", str(config), "--out-dir", str(out)]) == 2, key
+        assert "sweep grid is empty" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_sweep_episodes_and_max_iters_replace_train_values_unchecked(tmp_path):
+    """[sweep] episodes and max_iters replace [train]'s, which may then be 0."""
+    train = "episodes = 50\nmax_iters = 200\nseed = 5\n"
+    swept = SWEEP_CONFIG.replace(train, "episodes = 0\nmax_iters = 0\nseed = 5\n")
+    swept += "max_iters = 30\n"
+    trained = SWEEP_CONFIG.replace(train, "episodes = 40\nmax_iters = 30\nseed = 5\n").replace(
+        "eval_max_iters = 200\nepisodes = 40\n", "eval_max_iters = 200\n")  # [sweep] sets none
+    outs = []
+    for name, text in (("swept", swept), ("trained", trained)):
+        config = tmp_path / f"{name}.ini"
+        config.write_text(text)
+        outs.append(tmp_path / name)
+        assert main(["sweep", "--config", str(config), "--out-dir", str(outs[-1])]) == 0
+    for name in ("demo_aggregate.csv", "demo_runs.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("setting", [
@@ -1033,9 +1055,9 @@ TINY_BUDGETS = {
 # Raw values for any key: edge cases, and valid ones that reach further in.
 RAW_VALUES = ("nan", "inf", "-1", "0", "1", "2", "0.5", "1e308", "", "0.5, 0.5", "true",
               "sarsa", "mean-field")
-# Every key SCHEMA knows, so a new key is covered without an edit here.
+# Every key CONFIG_KEYS knows, so a new key is covered without an edit here.
 OVERRIDES = st.dictionaries(
-    st.sampled_from([(section, key) for section in SCHEMA for key in SCHEMA[section]]),
+    st.sampled_from([(section, key) for section in CONFIG_KEYS for key in CONFIG_KEYS[section]]),
     st.sampled_from(RAW_VALUES), max_size=2,
 )
 COMMANDS = (
@@ -1079,16 +1101,19 @@ def test_every_config_exits_with_a_contract_code(tiny_table, overrides, command)
 
 # The files a --resume reads, and what the property below writes over them.
 RESUMED_FILES = ("demo_aggregate.csv", "demo_runs.csv", "demo_aggregate.csv.meta.json")
-RESUMED_TOKENS = ("nan", "", "1.00", "tru", "-1")
+# WRONG_SEEDS read back as written in a seed field, but belong to no run.
+WRONG_SEEDS = ("-1", "7")
+RESUMED_TOKENS = ("nan", "", "1.00", "tru", *WRONG_SEEDS)
 RESUMED_SETTINGS = (0, -1, 5, 0.5, "", None, True, [1.0, 0.0])
 
 
 @st.composite
 def resume_edits(draw, texts: dict) -> dict:
     """``texts`` with one edit: a file cut at a byte, one field of a line
-    replaced, two lines of a file swapped, or one setting changed or dropped."""
+    replaced, two lines of a file swapped, one run's seed replaced by a wrong
+    one, or one setting changed or dropped."""
     texts = dict(texts)
-    kind = draw(st.sampled_from(("cut", "field", "swap", "setting")))
+    kind = draw(st.sampled_from(("cut", "field", "swap", "seed", "setting")))
     if kind == "setting":
         settings = json.loads(texts[RESUMED_FILES[2]])
         key = draw(st.sampled_from(sorted(settings)))
@@ -1097,6 +1122,14 @@ def resume_edits(draw, texts: dict) -> dict:
         else:
             settings[key] = draw(st.sampled_from(RESUMED_SETTINGS))
         texts[RESUMED_FILES[2]] = json.dumps(settings, indent=2) + "\n"
+        return texts
+    if kind == "seed":
+        # Only --resume's seed check reads a seed, and a field edit seldom
+        # writes a well-formed one there.
+        lines = texts[RESUMED_FILES[1]].splitlines()
+        i = draw(st.integers(1, len(lines) - 1))
+        lines[i] = _with_fields(lines[i], f5=draw(st.sampled_from(WRONG_SEEDS)))
+        texts[RESUMED_FILES[1]] = "\n".join(lines) + "\n"
         return texts
     name = draw(st.sampled_from(RESUMED_FILES if kind == "cut" else RESUMED_FILES[:2]))
     text = texts[name]
@@ -1120,8 +1153,8 @@ def resume_edits(draw, texts: dict) -> dict:
 @given(data=st.data())
 def test_every_edited_resume_exits_with_a_contract_code(finished_sweep, data):
     """Whatever an edit leaves in a finished sweep's files, --resume exits 0
-    or 2 with no exception escaping. On 2 no file changes; on 0 the rows are
-    a fresh run's, and so is every field of the run lines but final_mse."""
+    or 2 with no exception escaping. On 2 no file changes; on 0 both files are
+    a fresh run's."""
     fresh = {name: (finished_sweep / name).read_text() for name in RESUMED_FILES}
     edited = data.draw(resume_edits(fresh))
     with tempfile.TemporaryDirectory() as tmp:
@@ -1135,35 +1168,40 @@ def test_every_edited_resume_exits_with_a_contract_code(finished_sweep, data):
     if code == 2:
         assert after == edited
         return
-    assert after[RESUMED_FILES[0]] == fresh[RESUMED_FILES[0]]
-    got_runs = after[RESUMED_FILES[1]].splitlines()
-    fresh_runs = fresh[RESUMED_FILES[1]].splitlines()
-    assert len(got_runs) == len(fresh_runs)
-    for got, want in zip(got_runs, fresh_runs):
-        # Known gap: a final_mse edited to nan reads back as written and enters
-        # no aggregate, so only re-running its cell could catch it.
-        assert got == want or got == _with_fields(want, f4="nan"), got
+    assert {name: after[name] for name in RESUMED_FILES[:2]} == {
+        name: fresh[name] for name in RESUMED_FILES[:2]}
 
 
-# The sidecar fields the property below replaces (the two evaluate reads, a
-# training field it does not, and both top-level ones), and what it writes.
-SIDECAR_FIELDS = ("algorithm", "num_agents", "episodes", "training", "created_at")
-SIDECAR_VALUES = ("sarsa", "dqn", "", None, True, 0, 7, 2.0, [1], {"a": 1})
+# Per training field the property below replaces (the two evaluate reads and
+# one it does not), the values it may write there; KEEP leaves the field as is.
+KEEP = object()
+SIDECAR_TRAINING = {
+    "algorithm": ("sarsa", "dqn", "", None, 7),
+    "num_agents": (7, 0, True, 2.0, None),
+    "episodes": (None, "x"),
+}
+# What it may write over the training object or the timestamp.
+SIDECAR_TOP = (None, [1], 7, {"a": 1})
 
 
 @st.composite
 def sidecar_edits(draw, text: str) -> str:
-    """``text`` with one edit: cut at a byte, one field replaced, or the whole
-    text replaced by JSON that is no object or too deep to decode."""
-    kind = draw(st.sampled_from(("cut", "field", "whole")))
+    """``text`` with one edit: cut at a byte, replaced whole by JSON that is no
+    object or too deep to decode, a top-level field replaced, or any of the
+    training fields replaced, each by a value drawn for that field."""
+    kind = draw(st.sampled_from(("cut", "whole", "top", "training")))
     if kind == "cut":
         return text[:draw(st.integers(0, len(text)))]
     if kind == "whole":
         return draw(st.sampled_from(("[1]", "null", "7", '"training"', NESTED_JSON)))
     meta = json.loads(text)
-    field = draw(st.sampled_from(SIDECAR_FIELDS))
-    owner = meta if field in meta else meta["training"]
-    owner[field] = draw(st.sampled_from(SIDECAR_VALUES))
+    if kind == "top":
+        meta[draw(st.sampled_from(("training", "created_at")))] = draw(st.sampled_from(SIDECAR_TOP))
+    else:
+        for field, values in SIDECAR_TRAINING.items():
+            value = draw(st.sampled_from((KEEP, *values)))
+            if value is not KEEP:
+                meta["training"][field] = value
     return json.dumps(meta)
 
 
@@ -1178,7 +1216,7 @@ def evaluated_table(tmp_path_factory):
     return out
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_every_edited_sidecar_leaves_evaluate_at_exit_0(evaluated_table, data):
     """Whatever an edit leaves in a table's sidecar, evaluate exits 0 and writes

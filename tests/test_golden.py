@@ -1,8 +1,9 @@
 """Golden sha256 digests of every CLI data file for fixed seeds.
 
 Each case runs ``swarmherd.cli.main`` in a fresh directory and compares the
-digest of every file it writes, except the ``.meta.json`` sidecars (they hold
-a timestamp), against ``golden_digests.json``. A refactor that claims to keep
+digest of every file it writes, except a table's ``.swhq.meta.json`` sidecar
+(it holds a timestamp), against ``golden_digests.json``. A sweep's settings
+file holds none, so it is compared too. A refactor that claims to keep
 the output bytes must leave this file untouched.
 
 After an intended output change, rewrite the digest file with
@@ -151,7 +152,7 @@ def run_case(name: str, workdir: Path) -> dict[str, str]:
     return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.iterdir())
-        if not path.name.endswith(".meta.json")
+        if not path.name.endswith(".swhq.meta.json")
     }
 
 
