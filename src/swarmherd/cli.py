@@ -48,6 +48,7 @@ from .harness import (
     check_evaluation_inputs,
     derive_seed,
     evaluate,
+    run_streams,
     sweep,
     train,
 )
@@ -527,7 +528,7 @@ def cmd_sweep(args) -> int:
         rows = {line.rsplit(",", 4)[0]: (number, line)
                 for number, line in enumerate(_resumed_lines(agg_path), start=2)}
         for cell, key in zip(cells, keys):
-            seeds = [derive_seed(cell.seed, run) for run in range(sw["runs"])]
+            seeds = [run_seed for run_seed, _ in run_streams(cell.seed, sw["runs"])]
             records = by_seed.get(seeds[0], [])
             if [(r.run, r.seed) for r in records] == list(enumerate(seeds)) and key in rows:
                 number, line = rows[key]

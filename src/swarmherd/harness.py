@@ -9,7 +9,7 @@ a sweep cell's results depend on what it is, not where it sits or runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -26,11 +26,87 @@ from .learner import (
 
 # Most uniforms evaluate() draws at once to check a frozen tail (512 KiB).
 _DRAW_CHUNK = 2**16
+# Runs run_streams() seeds per batch; a power of two, so that no batch holds
+# run indices of two word lengths.
+_SEED_CHUNK = 2**10
+_M32 = 0xFFFFFFFF
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def derive_seed(*path: int) -> int:
     """Deterministic 64-bit seed from a tuple of integers."""
     return int(np.random.SeedSequence(tuple(int(x) for x in path)).generate_state(1, np.uint64)[0])
+
+
+def _seed_words(n: int) -> list[int]:
+    """n's 32-bit words, least significant first, as SeedSequence reads an int."""
+    if n < 0:
+        raise ValueError(f"expected a non-negative seed, got {n}")
+    return [n >> i & _M32 for i in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _hasher(h: int, mult: int):
+    """SeedSequence's hashmix on uint32 columns: xor with the current constant
+    h, multiply by the next one, h * mult, and fold the high half down."""
+    def hashmix(x):
+        nonlocal h
+        x = (x ^ h) * (h := h * mult & _M32)
+        return x ^ x >> 16
+    return hashmix
+
+
+def _hash_words(entropy: list[np.ndarray], n_words: int) -> list[np.ndarray]:
+    """``SeedSequence(row).generate_state(n_words, np.uint32)`` for every row
+    of the uint32 columns ``entropy``, as n_words uint32 columns: numpy's
+    algorithm and constants, whose output NEP 19 keeps stable."""
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+
+    def mix(dst, y):
+        x = pool[dst] * 0xCA01F9DD - hashmix(y) * 0x4973F715
+        pool[dst] = x ^ x >> 16
+
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mix(dst, pool[src])
+    for y in entropy[4:]:  # the words that do not fit the pool
+        for dst in range(4):
+            mix(dst, y)
+    out = _hasher(0x8B51F9DD, 0x58F38DED)
+    return [out(pool[i % 4]) for i in range(n_words)]
+
+
+def _join(low: np.ndarray, high: np.ndarray) -> list[int]:
+    """Two uint32 columns as the 64-bit ints ``high << 32 | low``."""
+    return (high.astype(np.uint64) << 32 | low).tolist()
+
+
+def _pcg64_states(low: np.ndarray, high: np.ndarray) -> Iterator[dict]:
+    """The ``bit_generator.state`` of ``np.random.default_rng(high << 32 | low)``
+    for each row: PCG64 seeds its 128-bit state and increment from four
+    64-bit words of the seed's SeedSequence. A seed below 2**32 is one word
+    to SeedSequence, and the word it lacks hashes as the zero high word here."""
+    w = _hash_words([low, high], 8)
+    for a, b, c, d in zip(*(_join(*w[i:i + 2]) for i in (0, 2, 4, 6))):
+        inc = ((c << 64 | d) << 1 | 1) % 2**128
+        state = ((inc + (a << 64 | b)) * _PCG_MULT + inc) % 2**128
+        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+               "has_uint32": 0, "uinteger": 0}
+
+
+def run_streams(seed: int, runs: int) -> Iterator[tuple[int, dict]]:
+    """``(run_seed, state)`` of each run r < runs: ``derive_seed(seed, r)``, its
+    scalar reference, and the ``bit_generator.state`` of
+    ``np.random.default_rng(run_seed)``, hashed _SEED_CHUNK runs at a time."""
+    master = _seed_words(int(seed))
+    for lo in range(0, runs, _SEED_CHUNK):
+        r = np.arange(lo, min(lo + _SEED_CHUNK, runs), dtype=np.uint64)
+        entropy = [np.full(len(r), w, np.uint32) for w in master]
+        entropy += [(r >> 32 * i & _M32).astype(np.uint32) for i in range(len(_seed_words(lo)))]
+        low, high = _hash_words(entropy, 2)
+        yield from zip(_join(low, high), _pcg64_states(low, high))
 
 
 @dataclass(frozen=True)
@@ -213,17 +289,38 @@ def aggregate(records: Sequence[RunRecord]) -> EvalAggregate:
     )
 
 
-def _greedy_loop(table: QTable, env: HerdingEnv, followers, v: int, code: int) -> bool:
-    """Whether greedy play from leader vertex v, with these followers held
-    fixed, returns to a vertex before it Stays on one that holds followers."""
+def _greedy_moves(table: QTable, env: HerdingEnv, followers, v: int,
+                  code: int) -> tuple[int, int] | None:
+    """Greedy play from leader vertex v with these followers held fixed, up to
+    its first Stay on a vertex that holds followers: ``(steps, vertex)`` of
+    that Stay, or None if play returns to a vertex first, and so loops forever."""
     m = env.cfg.num_vertices
     seen = set()
     while v not in seen:
         seen.add(v)
         v, flag = env.moves[v][greedy_action_index(table, v + m * code, env.action_ids[v])]
         if flag and followers[v]:
-            return False
-    return True
+            return len(seen), v
+    return None
+
+
+def _greedy_walk(table: QTable, env: HerdingEnv, v: int, cap: int) -> tuple[bool, int, float]:
+    """``(converged, iterations, sq)`` of greedy play on a mean-field env from
+    start vertex v to convergence, the cap or a frozen loop (recorded at the
+    cap): the record of a run that starts on v if its first ``iterations``
+    uniforms after the reset exceed ε."""
+    m, mu = env.cfg.num_vertices, env.cfg.mu
+    followers = env.start
+    sq, code = env.reset_score
+    t = 0
+    while not sq / m < mu:
+        hop = _greedy_moves(table, env, followers, v, code)
+        if hop is None or t + hop[0] > cap:
+            return False, cap, sq
+        steps, v = hop
+        t += steps
+        followers, sq, code = env.repel(followers, v, None)
+    return True, t, sq
 
 
 def _all_above(rng: np.random.Generator, epsilon: float, draws: int) -> bool:
@@ -254,6 +351,14 @@ def evaluate(
     Discretization makes the table agnostic to the agent count, so env_cfg
     may use a different population than the table was trained on.
 
+    Run r draws from ``np.random.default_rng(derive_seed(seed, r))``, whose
+    state :func:`run_streams` computes for many runs at once. A mean-field
+    step draws nothing, so there greedy play is walked once from each start
+    vertex a run lands on (:func:`_greedy_walk`). A run whose reset lands on
+    v and whose next uniforms, one per step of the walk from v, all exceed
+    epsilon_eval is recorded from that walk. Otherwise its generator is
+    rewound and it steps; at ε = 0 only a uniform of exactly 0.0 does that.
+
     Only a Stay on a vertex that holds followers moves them; a Stay on an
     empty vertex moves nothing and draws nothing, so it skips ``repel``.
     After M+1 steps without one, a run checks for a frozen tail: greedy play
@@ -268,7 +373,7 @@ def evaluate(
     second check until a follower could move again. The records are those
     of stepping every iteration, for every seed, epsilon_eval, backend and
     cap. At ε = 0 frozen tails are 95–96% of the benchmark's xpop-sweep
-    evaluation steps, 46–85% of the headline's and none of meanfield-d20's.
+    evaluation steps and 46–85% of the headline's (both dtmc).
     """
     check_evaluation_inputs(runs, eval_max_iters, epsilon_eval)
     check_compatible(table, env_cfg)
@@ -276,11 +381,19 @@ def evaluate(
     valid, moves = env.action_ids, env.moves
     mu = env_cfg.mu
     m = env_cfg.num_vertices
+    walks = {} if env_cfg.backend == "mean-field" else None  # start vertex -> _greedy_walk
+    rng = np.random.default_rng(0)  # every run sets its own state
     records = []
-    for run in range(runs):
-        run_seed = derive_seed(seed, run)
-        rng = np.random.default_rng(run_seed)
+    for run, (run_seed, state) in enumerate(run_streams(seed, runs)):
+        rng.bit_generator.state = state
         followers, v = env.reset(rng)
+        if walks is not None:
+            if v not in walks:
+                walks[v] = _greedy_walk(table, env, v, eval_max_iters)
+            converged, iterations, sq = walks[v]
+            if _all_above(rng, epsilon_eval, iterations):
+                records.append(RunRecord(run, converged, iterations, sq / m, run_seed))
+                continue
         sq, code = env.reset_score
         iterations = 0
         converged = sq / m < mu
@@ -299,7 +412,7 @@ def evaluate(
                         break
                 else:
                     idle += 1
-                    if (idle == m + 1 and _greedy_loop(table, env, followers, v, code)
+                    if (idle == m + 1 and _greedy_moves(table, env, followers, v, code) is None
                             and _all_above(rng, epsilon_eval, eval_max_iters - t)):
                         iterations = eval_max_iters
                         break

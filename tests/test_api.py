@@ -138,3 +138,21 @@ def test_import_leaves_the_process_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True)
     assert out.stdout == "False\n"
+
+
+def test_the_benchmark_setup_path_leaves_numpy_random_unloaded():
+    # perfbench/child.py's setup child times exactly this path; importing
+    # numpy.random would add 10-15 ms to it, so swarmherd uses it only
+    # inside the functions that draw.
+    src = str(Path(swarmherd.__file__).resolve().parents[1])
+    code = (
+        "import sys, swarmherd, swarmherd.cli\n"
+        "from swarmherd.cli import build_env_config, load_config\n"
+        "env_cfg = build_env_config(load_config(None))\n"
+        "swarmherd.HerdingEnv(env_cfg)\n"
+        "swarmherd.QTable.zeros(env_cfg.bins, env_cfg.rows, env_cfg.cols)\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout == "False\n"

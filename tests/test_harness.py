@@ -19,8 +19,10 @@ from swarmherd import (
     sweep,
     train,
 )
+from swarmherd import harness
 from swarmherd.environment import BACKENDS, NUM_ACTIONS, decode_state, num_states
 from swarmherd.errors import CompatibilityError, ConfigError
+from swarmherd.harness import _SEED_CHUNK, _pcg64_states, run_streams
 from swarmherd.learner import greedy_action_index
 
 import oracles
@@ -139,14 +141,16 @@ def test_train_single_steps_match_update_ops(backend, grid, algorithm):
     assert min(lengths) < cfg.max_iters_per_episode == max(lengths)  # terminal and capped
 
 
-def _reference_evaluate(table, env_cfg, runs, eval_max_iters, epsilon_eval, seed):
-    """evaluate() spelled out with the reference step, state and selection."""
+def _reference_evaluate(table, env_cfg, runs, eval_max_iters, epsilon_eval, seed, streams=None):
+    """evaluate() spelled out with the reference step, state and selection;
+    ``streams``, if given, replaces each run's (seed, generator)."""
     env = HerdingEnv(env_cfg)
     values = table.values
     records = []
-    for run in range(runs):
-        run_seed = derive_seed(seed, run)
-        rng = np.random.default_rng(run_seed)
+    if streams is None:
+        seeds = (derive_seed(seed, run) for run in range(runs))
+        streams = ((run_seed, np.random.default_rng(run_seed)) for run_seed in seeds)
+    for run, (run_seed, rng) in enumerate(streams):
         followers, v = env.reset(rng)
         leader = LeaderState(v, 0)
         iterations = 0
@@ -206,6 +210,66 @@ def test_evaluate_matches_the_reference_through_frozen_tails(grid, backend, nois
     args = dict(runs=4, eval_max_iters=cap, epsilon_eval=epsilon, seed=seed)
     records, _ = evaluate(table, env_cfg, **args)
     assert records == _reference_evaluate(table, env_cfg, **args)
+
+
+def _spy_all_above(monkeypatch) -> list[bool]:
+    """What every frozen-tail or walk check of evaluate() returns, in order."""
+    outcomes = []
+    real = harness._all_above
+
+    def spy(rng, epsilon, draws):
+        outcomes.append(real(rng, epsilon, draws))
+        return outcomes[-1]
+
+    monkeypatch.setattr(harness, "_all_above", spy)
+    return outcomes
+
+
+@pytest.mark.parametrize("epsilon", [0.05, 0.3])
+def test_mean_field_runs_recorded_from_a_walk_or_stepped_match_the_reference(monkeypatch,
+                                                                            epsilon):
+    # A briefly trained table converges from some start vertices within the
+    # cap; at epsilon > 0 some runs draw a uniform <= epsilon within their
+    # walk's length, and those step instead.
+    env_cfg = _reference_env("2x2", "mean-field")
+    table = train(smoke_train(episodes=30, env=env_cfg)).table
+    outcomes = _spy_all_above(monkeypatch)
+    args = dict(runs=60, eval_max_iters=40, epsilon_eval=epsilon, seed=6)
+    records, _ = evaluate(table, env_cfg, **args)
+    assert records == _reference_evaluate(table, env_cfg, **args)
+    assert {True, False} <= set(outcomes)
+    assert {r.converged for r in records} == {True, False}
+
+
+def test_a_zero_uniform_at_epsilon_zero_steps_a_mean_field_run(monkeypatch):
+    # PCG64 steps its state and then outputs the xor of its halves, rotated,
+    # so a state whose halves are equal outputs 0: random() then returns 0.0,
+    # which does not exceed epsilon_eval = 0, and the run explores.
+    env_cfg = _reference_env("2x2", "mean-field")
+    table = train(smoke_train(episodes=30, env=env_cfg)).table
+    inverse = pow(0x2360ED051FC65DA44385DF649FCCF645, -1, 2**128)
+    streams = list(run_streams(6, 3))
+    state = streams[1][1]
+    inc = state["state"]["inc"]
+    s = (0x0123456789ABCDEF << 64) | 0x0123456789ABCDEF  # after the reset's draw and one more
+    for _ in range(2):
+        s = (s - inc) * inverse % 2**128
+    streams[1] = (7, {**state, "state": {"state": s, "inc": inc}})
+
+    def generator(state):
+        rng = np.random.default_rng(0)
+        rng.bit_generator.state = state
+        return rng
+
+    probe = generator(streams[1][1])
+    probe.integers(env_cfg.num_vertices)
+    assert probe.random() == 0.0
+    monkeypatch.setattr(harness, "run_streams", lambda seed, runs: iter(streams))
+    outcomes = _spy_all_above(monkeypatch)
+    records, _ = evaluate(table, env_cfg, runs=3, eval_max_iters=40, seed=6)
+    reference = [(run_seed, generator(state)) for run_seed, state in streams]
+    assert records == _reference_evaluate(table, env_cfg, 3, 40, 0.0, 6, streams=reference)
+    assert outcomes[:2] == [True, False] and records[1].seed == 7
 
 
 @pytest.mark.parametrize("cap", [4, 5, 8])
@@ -376,6 +440,41 @@ def test_derive_seed_is_stable():
     assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
     assert derive_seed(1, 2, 3) != derive_seed(1, 2, 4)
     assert derive_seed(1) != derive_seed(2)
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(
+    # 1, 2, 3 and 4 or more 32-bit words: from 4 on, SeedSequence mixes the
+    # words that do not fit its pool of four in an extra loop.
+    seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                   st.integers(2**64, 2**96 - 1), st.integers(2**96, 2**200)),
+    runs=st.one_of(st.integers(1, 3), st.integers(_SEED_CHUNK - 1, _SEED_CHUNK + 2)),
+)
+def test_run_streams_are_derive_seed_and_default_rng(seed, runs):
+    streams = list(run_streams(seed, runs))
+    assert [run_seed for run_seed, _ in streams] == [derive_seed(seed, r) for r in range(runs)]
+    # The states around the batch boundary, and at both ends.
+    for r in {0, runs - 1, *range(_SEED_CHUNK - 2, min(runs, _SEED_CHUNK + 2))}:
+        assert streams[r][1] == np.random.default_rng(streams[r][0]).bit_generator.state
+
+
+@pytest.mark.parametrize("run_seed", [0, 5, 2**32 - 1, 2**32, 2**40, 2**64 - 1])
+def test_a_run_seed_below_2_32_gets_the_state_of_its_one_word_hash(run_seed):
+    low = np.array([run_seed & 0xFFFFFFFF], np.uint32)
+    high = np.array([run_seed >> 32], np.uint32)
+    assert list(_pcg64_states(low, high)) == [np.random.default_rng(run_seed).bit_generator.state]
+
+
+@pytest.mark.parametrize("seed", [-1, -2**64])
+def test_a_negative_seed_raises_as_derive_seed_does(seed):
+    # Read as a uint64, -1 would wrap to 2**64 - 1 and -2**64 to 0.
+    with pytest.raises(ValueError):
+        derive_seed(seed, 0)
+    with pytest.raises(ValueError):
+        next(run_streams(seed, 1))
+    env_cfg = smoke_env(backend="mean-field")
+    with pytest.raises(ValueError):
+        evaluate(QTable.zeros(env_cfg.bins, 1, 2), env_cfg, runs=1, seed=seed)
 
 
 # --- brute-force optimality cross-check (full version in acceptance) -------------
