@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -56,6 +56,16 @@ _MOVES = {
     Action.UP: (-1, 0),
     Action.DOWN: (1, 0),
 }
+
+
+class Draws(Protocol):
+    """What a reset and ε-greedy selection draw from: a numpy ``Generator``,
+    or the training stream (``harness._WordStream``), which returns the
+    Generator's values for these two calls from the same seed."""
+
+    def random(self) -> float: ...
+
+    def integers(self, k: int) -> int: ...
 
 
 class DiscretizedState(NamedTuple):
@@ -235,8 +245,10 @@ class HerdingEnv:
         )
         self.reset_score = self.score(self.start)
 
-    def reset(self, rng: np.random.Generator) -> tuple[tuple, int]:
-        """Fresh episode: ``(start, vertex)``, the leader at a uniform vertex, flag down.
+    def reset(self, rng: Draws) -> tuple[tuple, int]:
+        """Fresh episode: ``(start, vertex)``, the leader at a uniform vertex,
+        flag down, drawn by ``rng.integers``; rng is a ``Generator`` or the
+        training stream.
 
         With the dtmc backend :attr:`start` holds the largest-remainder
         apportionment of num_agents over initial_dist, else initial_dist itself.

@@ -30,6 +30,8 @@ _DRAW_CHUNK = 2**16
 # run indices of two word lengths.
 _SEED_CHUNK = 2**10
 _M32 = 0xFFFFFFFF
+# Raw 64-bit words _WordStream takes from its bit generator per refill.
+_WORD_CHUNK = 2**10
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
@@ -109,6 +111,49 @@ def run_streams(seed: int, runs: int) -> Iterator[tuple[int, dict]]:
         yield from zip(_join(low, high), _pcg64_states(low, high))
 
 
+class _WordStream:
+    """``random()`` and ``integers(k)`` of the ``Generator`` that owns
+    ``bit_generator`` (a PCG64's), draw for draw, as plain floats and ints,
+    read from its raw 64-bit words _WORD_CHUNK at a time.
+
+    ``random()`` is ``(w >> 11) * 2**-53`` of the next word w. ``integers(k)``,
+    for 1 <= k < 2**32, is Lemire's method on 32-bit halves, as numpy's:
+    the low half of a word first, the upper half kept pending for the next
+    half drawn, as PCG64's ``has_uint32`` buffer keeps it; ``random()`` leaves
+    a pending half alone, and k == 1 draws nothing. On a 2-vCPU Xeon VM a
+    scalar ``Generator.random()`` took about 750 ns and ``integers(4)`` 2.5 µs;
+    these take about 170 and 510 ns.
+    """
+
+    def __init__(self, bit_generator):
+        from itertools import chain
+
+        raw = bit_generator.random_raw
+        self._word = chain.from_iterable(iter(lambda: raw(_WORD_CHUNK).tolist(), None)).__next__
+        self._half = None
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2**-53
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is None:
+            word = self._word()
+            self._half = word >> 32
+            return word & _M32
+        self._half = None
+        return half
+
+    def integers(self, k: int) -> int:
+        if k == 1:
+            return 0
+        m = self._uint32() * k
+        # Reject a low half below 2**32 % k, so every result is equally likely.
+        while m & _M32 < 2**32 % k:
+            m = self._uint32() * k
+        return m >> 32
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     env: EnvConfig
@@ -122,6 +167,9 @@ class TrainConfig:
             raise ConfigError("episodes must be at least 1")
         if self.max_iters_per_episode < 1:
             raise ConfigError("max_iters_per_episode must be at least 1")
+        # default_rng would raise its own ValueError or TypeError for these.
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed={self.seed!r} invalid: need a non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -200,6 +248,10 @@ def train(cfg: TrainConfig) -> TrainResult:
     table = QTable.zeros(cfg.env.bins, cfg.env.rows, cfg.env.cols)
     env = HerdingEnv(cfg.env)
     rng = np.random.default_rng(cfg.seed)
+    if cfg.env.backend == "mean-field":
+        # Only resets and selections draw here. dtmc keeps the Generator: its
+        # repel's rng.multinomial takes a number of words that depends on the counts.
+        rng = _WordStream(rng.bit_generator)
     get, zero = table.store.get, table.zero
     alpha = cfg.learner.alpha
     gamma = cfg.learner.gamma

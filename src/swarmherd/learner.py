@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .environment import NUM_ACTIONS, num_states
+from .environment import NUM_ACTIONS, Draws, num_states
 from .errors import (
     ConfigError,
     QTableDimensionError,
@@ -175,16 +175,17 @@ def select_action_index(
     state_index: int,
     valid: Sequence[int],
     epsilon: float,
-    rng: np.random.Generator,
+    rng: Draws,
     greedy: int | None = None,
 ) -> int:
     """ε-greedy selection over the valid actions at a state.
 
-    Draws X uniform on [0, 1) first: above epsilon it exploits (greedy with
-    the canonical tie-break), otherwise it draws a uniform explore index, so
-    every caller consumes the random stream in the same order. A caller that
-    already holds this row's :func:`greedy_action_index` passes it as
-    ``greedy`` to skip the rescan.
+    Draws X uniform on [0, 1) first, from rng (a ``Generator`` or the
+    training stream): above epsilon it exploits (greedy with the canonical
+    tie-break), otherwise it draws a uniform explore index, so every caller
+    consumes the random stream in the same order. A caller that already
+    holds this row's :func:`greedy_action_index` passes it as ``greedy`` to
+    skip the rescan.
     """
     if rng.random() > epsilon:
         return greedy_action_index(q, state_index, valid) if greedy is None else greedy

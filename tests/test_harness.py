@@ -88,28 +88,23 @@ def _reference_env(grid: str, backend: str):
     )
 
 
-@pytest.mark.parametrize("algorithm", ["sarsa", "qlearning"])
-@pytest.mark.parametrize("grid", ["1x2", "2x2"])
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_train_single_steps_match_update_ops(backend, grid, algorithm):
-    """The training loop must equal the reference step, state and TD operations."""
-    env_cfg = _reference_env(grid, backend)
-    cfg = smoke_train(algorithm=algorithm, episodes=10, env=env_cfg)
-    cfg = replace(cfg, max_iters_per_episode=8)
-    result = train(cfg)
-
+def _reference_train(cfg):
+    """train() spelled out with the reference step, state, selection and TD
+    writes, drawing from a numpy Generator on either backend: the dense table."""
+    env_cfg = cfg.env
     env = HerdingEnv(env_cfg)
     values = np.zeros((num_states(env_cfg.bins, env_cfg.num_vertices), NUM_ACTIONS))
     rng = np.random.default_rng(cfg.seed)
-    alpha, gamma, epsilon = cfg.learner.alpha, cfg.learner.gamma, cfg.learner.epsilon
+    alpha, gamma = cfg.learner.alpha, cfg.learner.gamma
 
-    for _ in range(cfg.episodes):
+    for episode in range(cfg.episodes):
+        epsilon = cfg.learner.episode_epsilon(episode, cfg.episodes)
         followers, v = env.reset(rng)
         leader = LeaderState(v, 0)
         if oracles.mse(oracles.observe(env, followers), env_cfg.target_dist) < env_cfg.mu:
             continue
         s = oracles.state_index(env, followers, leader.vertex)
-        if algorithm == "sarsa":
+        if cfg.learner.algorithm == "sarsa":
             a = oracles.select(values, s, env.action_ids[leader.vertex], epsilon, rng)
             for _ in range(cfg.max_iters_per_episode):
                 followers, leader, r, terminal = oracles.reference_step(
@@ -136,9 +131,43 @@ def test_train_single_steps_match_update_ops(backend, grid, algorithm):
                     values, s, a, r, s2, env.action_ids[leader.vertex], alpha, gamma
                 )
                 s = s2
-    assert np.array_equal(result.table.values, values)
+    return values
+
+
+@pytest.mark.parametrize("algorithm", ["sarsa", "qlearning"])
+@pytest.mark.parametrize("grid", ["1x2", "2x2"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_train_single_steps_match_update_ops(backend, grid, algorithm):
+    """The training loop must equal the reference step, state and TD operations."""
+    cfg = smoke_train(algorithm=algorithm, episodes=10, env=_reference_env(grid, backend))
+    cfg = replace(cfg, max_iters_per_episode=8)
+    result = train(cfg)
+    assert np.array_equal(result.table.values, _reference_train(cfg))
     lengths = [e.length for e in result.episodes]
     assert min(lengths) < cfg.max_iters_per_episode == max(lengths)  # terminal and capped
+
+
+@pytest.mark.parametrize("algorithm", ["sarsa", "qlearning"])
+def test_mean_field_training_matches_the_reference_across_stream_refills(algorithm):
+    """Mean-field training draws from the raw-word stream, the reference from
+    a Generator: at ε falling from 0.5 to 0.3, a third to a half of the
+    selections draw an explore index too, and the run takes several chunks
+    of words."""
+    cfg = smoke_train(algorithm=algorithm, episodes=800, env=_reference_env("2x2", "mean-field"))
+    learner = replace(cfg.learner, epsilon=0.5, epsilon_decay=True, epsilon_final=0.3)
+    cfg = replace(cfg, learner=learner, max_iters_per_episode=60)
+    result = train(cfg)
+    # Each step draws at least one word.
+    assert sum(e.length for e in result.episodes) > 4 * harness._WORD_CHUNK
+    assert np.array_equal(result.table.values, _reference_train(cfg))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_train_config_refuses_a_seed_that_is_not_a_non_negative_int(backend, seed):
+    cfg = smoke_train(env=smoke_env(backend=backend))
+    with pytest.raises(ConfigError, match="seed"):
+        replace(cfg, seed=seed)
 
 
 def _reference_evaluate(table, env_cfg, runs, eval_max_iters, epsilon_eval, seed, streams=None):
@@ -456,6 +485,47 @@ def test_run_streams_are_derive_seed_and_default_rng(seed, runs):
     # The states around the batch boundary, and at both ends.
     for r in {0, runs - 1, *range(_SEED_CHUNK - 2, min(runs, _SEED_CHUNK + 2))}:
         assert streams[r][1] == np.random.default_rng(streams[r][0]).bit_generator.state
+
+
+class _CountedRefills:
+    """A bit generator's ``random_raw``, counting the calls."""
+
+    def __init__(self, bit_generator):
+        self.raw, self.refills = bit_generator.random_raw, 0
+
+    def random_raw(self, n):
+        self.refills += 1
+        return self.raw(n)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    # Master seeds of 1 to 5 32-bit words.
+    seed=st.one_of([st.integers(0, 2**32 - 1)]
+                   + [st.integers(2**(32 * n), 2**(32 * n + 32) - 1) for n in range(1, 5)]),
+    # None calls random(), k calls integers(k); 2**31 + 1 rejects about half its halves.
+    pattern=st.lists(st.one_of(st.none(), st.integers(1, 9), st.sampled_from([2**31 + 1, 2**32 - 1])),
+                     max_size=8),
+)
+def test_the_training_stream_is_default_rng_draw_for_draw(seed, pattern):
+    """Pins harness._WordStream to numpy's Generator, the guard should a numpy
+    release change the streams (the golden digests depend on them too)."""
+    bits = _CountedRefills(np.random.default_rng(seed).bit_generator)
+    stream, reference = harness._WordStream(bits), np.random.default_rng(seed)
+
+    def draw(k):
+        got = stream.random() if k is None else stream.integers(k)
+        expected = reference.random() if k is None else int(reference.integers(k))
+        assert (got, type(got)) == (expected, float if k is None else int)
+
+    # integers(2) leaves an upper half pending as the first chunk runs out.
+    for k in [2] + [None] * harness._WORD_CHUNK:
+        draw(k)
+    assert (bits.refills, stream._half is not None) == (2, True)
+    # The pattern, with a random() so each round takes a word, across two more refills.
+    while bits.refills < 4:
+        for k in pattern + [None]:
+            draw(k)
 
 
 @pytest.mark.parametrize("run_seed", [0, 5, 2**32 - 1, 2**32, 2**40, 2**64 - 1])
